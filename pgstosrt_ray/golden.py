@@ -699,9 +699,11 @@ def golden_perplexity_buckets(sf_dir: str) -> pa.Table:
     b = np.floor(np.log2(micro.astype(np.float64)) * 256).astype(np.int64)
     uniq, counts = np.unique(b, return_counts=True)
     cum = np.cumsum(counts)
-    total = int(cum[-1])
-    b33 = int(uniq[np.searchsorted(cum, (total + 2) // 3)])
-    b66 = int(uniq[np.searchsorted(cum, (2 * total + 2) // 3)])
+    b33 = b66 = 0                     # empty corpus: nothing to tag
+    if len(cum):
+        total = int(cum[-1])
+        b33 = int(uniq[np.searchsorted(cum, (total + 2) // 3)])
+        b66 = int(uniq[np.searchsorted(cum, (2 * total + 2) // 3)])
     lab = ["head" if x <= b33 else ("middle" if x <= b66 else "tail")
            for x in b]
     return pa.table({"doc_id": t.column("doc_id"),

@@ -4,20 +4,14 @@ The anti-pattern these replace (round-2 VERDICT "What's wrong" #1/#2):
 collecting one partial result per input batch on the driver — a list
 that grows with ``n_batches`` (~15M batches at 10^12 rows / 65k-row
 batches). Here the partials are reduced INSIDE the cluster through a
-repartition tree, so driver traffic is O(k) rows (top-k) or one fixed
+single-shuffle fold, so driver traffic is O(k) rows (top-k) or one fixed
 blob (fold), regardless of input size.
 
-Two shapes, same O(k)-everywhere guarantee:
-  - ``agg_topk`` / ``agg_fold_blobs`` (the default): a custom
-    ``AggregateFn`` — map tasks fold each block into a <=k-row /
-    one-blob state, the aggregate's reduce merges states pairwise;
-    ONE shuffle op, no barriers (measured 0.7 s vs 2.0 s for the
-    tree on sf0.1 topk_sort).
-  - ``tree_topk`` / ``tree_fold_blobs``: explicit repartition tree
-    (per-batch partial -> repartition(fanin) -> per-block reduce ->
-    repartition(1) -> final). Use when the reduction state must stay
-    a Dataset or needs more than two levels; ``fanin`` scales with
-    the cluster (each mid-level task sees n_batches*k/fanin rows).
+``agg_topk`` / ``agg_fold_blobs`` are custom ``AggregateFn`` folds:
+map tasks fold each block into a <=k-row / one-blob state, the
+aggregate's reduce merges states pairwise; ONE shuffle op, no
+barriers (measured 0.7 s vs 2.0 s for an explicit repartition tree on
+sf0.1 topk_sort).
 """
 
 from __future__ import annotations
@@ -56,10 +50,6 @@ def shuffle_groups() -> int:
     """Salted shuffle-group count for bucketed groupbys: ~4x the CPU
     count (floor 64) so groups stay small and stragglers amortize."""
     return max(64, 4 * cluster_cpus())
-
-
-def reduce_fanin() -> int:
-    return max(16, cluster_cpus())
 
 
 # Target on-disk parquet bytes per shuffle bucket. Each bucket of the
@@ -118,28 +108,6 @@ def buckets_for(est_bytes: int | None = None,
     if not est_bytes or est_bytes <= 0:
         return floor
     return int(max(floor, -(-int(est_bytes) // int(target_bytes))))
-
-
-def tree_topk(ds, sort_cols, ascending, k: int,
-              batch_size: int | None = 65536, fanin: int | None = None):
-    """Global top-k WITHOUT a global sort and WITHOUT a driver-side
-    merge: per-batch partial top-k, then a two-level repartition tree.
-    Returns a Dataset of <= k rows (deterministic: ties broken by the
-    trailing sort columns)."""
-    fanin = fanin or reduce_fanin()
-
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(sort_cols, ascending=ascending,
-                              kind="mergesort").head(k)
-
-    partials = ds.map_batches(topk, batch_format="pandas",
-                              batch_size=batch_size)
-    # batch_size=None => one batch per block => each reduce task emits
-    # <= k rows; after repartition(1) the final task sees <= fanin*k
-    return (partials.repartition(fanin)
-            .map_batches(topk, batch_format="pandas", batch_size=None)
-            .repartition(1)
-            .map_batches(topk, batch_format="pandas", batch_size=None))
 
 
 def agg_topk(ds, sort_cols, ascending, k: int) -> pa.Table:
@@ -286,24 +254,6 @@ def agg_fold_blobs(ds, col: str, merge_fn) -> bytes:
         finalize=lambda st: st if st else merge_fn([]), name="fold"))
     # empty dataset => aggregate returns None => identity element
     return merge_fn([]) if out is None else out["fold"]
-
-
-def tree_fold_blobs(ds, col: str, merge_fn, fanin: int | None = None):
-    """Associative+commutative fold of a binary column (sketch
-    registers, bitmaps) down to ONE row via the same repartition tree;
-    ``merge_fn(list[bytes]) -> bytes``. The driver only ever sees the
-    single final blob."""
-    fanin = fanin or reduce_fanin()
-
-    def fold(t: pa.Table) -> pa.Table:
-        blobs = t.column(col).to_pylist()
-        out = merge_fn(blobs) if blobs else merge_fn([])
-        return pa.table({col: pa.array([out], pa.binary())})
-
-    return (ds.repartition(fanin)
-            .map_batches(fold, batch_format="pyarrow", batch_size=None)
-            .repartition(1)
-            .map_batches(fold, batch_format="pyarrow", batch_size=None))
 
 
 def bucketed_group_agg(ds, key_cols, agg_fn, buckets: int | None = None,

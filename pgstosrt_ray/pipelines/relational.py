@@ -415,7 +415,7 @@ SQL_TRAIN_SPLIT = (
 def q_top_tokens(sf_dir: str, k: int = 100):
     """Corpus-wide token frequencies: per-batch occurrence counts
     (map-side combine), one groupby over (token) partials, then an
-    in-cluster top-k repartition tree (reduce.tree_topk) — no global
+    in-cluster top-k fold (reduce.agg_topk) — no global
     sort, and the driver only ever sees the final k rows (never the
     vocabulary)."""
     import pandas as pd

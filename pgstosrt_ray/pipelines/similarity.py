@@ -683,12 +683,17 @@ def pca_project(sf_dir: str, n_comp: int = PCA_COMPONENTS,
     import ray.data
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"])
+    head = ds.take(1)       # one-row probe: emptiness and dimension d
+    if not head:
+        return ray.data.from_arrow(pa.table(
+            {"vec_id": pa.array([], pa.int64()),
+             **{f"pc{i}": pa.array([], pa.float64())
+                for i in range(n_comp)}}))
     if sample is None:
         # the fitted model is a (d x d) covariance: the sample must
         # scale with the embedding DIMENSION, not the corpus (32
-        # points per dimension; one-row probe read to learn d)
-        d = len(ds.take(1)[0]["embedding"])
-        sample = max(PCA_SAMPLE, 32 * d)
+        # points per dimension)
+        sample = max(PCA_SAMPLE, 32 * len(head[0]["embedding"]))
     samp = _hash_sample_pandas(ds, sample)
     m = np.stack(samp["embedding"].to_numpy()).astype(np.float64)
     mean = m.sum(axis=0) / len(m)

@@ -828,8 +828,10 @@ def q_unigram_logprob(sf_dir: str):
         est_bytes=docs_bytes))
     vocab_n = model.count()
     if vocab_n <= UNIGRAM_VOCAB_LIMIT:
-        tab = pa.concat_tables(
-            [t for t in ray.get(model.to_arrow_refs()) if t.num_rows])
+        tabs = [t for t in ray.get(model.to_arrow_refs()) if t.num_rows]
+        tab = (pa.concat_tables(tabs) if tabs else   # no tokens at all
+               pa.table({"tok": pa.array([], pa.string()),
+                         "c": pa.array([], pa.int64())}))
         keys = tab.column("tok").to_numpy(zero_copy_only=False)
         order = np.argsort(keys)
         n = tab.column("c").to_numpy()[order].astype(np.float64)
@@ -1181,8 +1183,14 @@ def q_perplexity_buckets(sf_dir: str):
     threshold BUCKET ids -> map-only tagging. Deterministic given the
     deterministic sketch; value-checked against the independent
     golden.golden_perplexity_buckets."""
+    import ray.data
     from ray.data.aggregate import Sum
     scored = materialize_nonempty(q_unigram_logprob(sf_dir))
+    if not scored.count():     # empty corpus: no terciles to find
+        return ray.data.from_arrow(pa.table({
+            "doc_id": pa.array([], pa.int64()),
+            "nll_per_tok": pa.array([], pa.float64()),
+            "ppl_bucket": pa.array([], pa.string())}))
 
     def hist(t: pa.Table) -> pa.Table:
         b, n = np.unique(

@@ -10,7 +10,10 @@ Owns its Ray session (guarded init; queries()/entry() never init).
         [--partitions 16] [--num-cpus 32]
 
 Re-running with the same --output resumes: completed partitions
-(manifest present) are skipped (state/checkpoint.py).
+(manifest present) are skipped (state/checkpoint.py). A rerun with
+changed output-affecting flags (--partitions, --lang, --skip-merge,
+--force-merge-all, --tesseractlanguage) or a different --input fails
+loudly with a ValueError naming the changed field.
 """
 
 from __future__ import annotations

@@ -1,23 +1,40 @@
-"""Per-partition checkpointing + resume (SURVEY §4/§7 step 6;
-north_rule: "resumable from checkpoint with per-partition lineage +
-metrics").
+"""The one checkpoint/resume primitive (north_rule: "resumable from
+checkpoint with per-partition lineage + metrics") and the flagship
+extraction that uses it.
 
-Layout (resumable output, ray_guide "Sources & sinks"):
+Every checkpointed stage owns one directory:
 
-    out_dir/
-      part=K/data.parquet        # docs rows whose hash(url) % P == K
-      _manifest/K.json           # lineage + metrics, written atomically
+    dir/
+      _stage.json              # parameters that shape the output
+      part=K/data.parquet      # the rows of unit K
+      _manifest/K.json         # unit K's lineage + metrics
+      _manifest/_run.json      # flagship only: run totals + stage metrics
 
-A partition is complete iff its manifest exists. Manifests are written
-via temp-file + rename (atomic on POSIX), AFTER the data file, so a
-crash can leave orphan data but never a manifest without data. On
-restart the driver lists completed manifests and prefilters the input:
-pages whose url hashes into a completed partition are skipped at the
-READ (cheap map_batches filter), so finished work is never reparsed.
+The primitive has three parts:
 
-Partition id = sha1(url) % P: stable across runs and processes (no
-Python hash()), independent of row order, and the SAME key as the
-assembly groupby, so every url's output lands in exactly one partition.
+- ``write_partition`` writes one unit atomically: data file (temp +
+  rename), then its manifest (temp + rename). A unit is complete iff
+  its manifest exists, so a crash can leave orphan data but never a
+  manifest without data.
+- ``stage_guard`` records the stage's parameters on first use and
+  refuses a resume whose parameters differ, in either direction: a
+  changed value and a key present on only one side are both clashes.
+  It returns the completed units, which the caller filters out at the
+  read, so finished work is never recomputed.
+- ``write_units`` groups a keyed dataset by unit id and writes each
+  unit from the workers (``map_groups``); its ``fail_after`` fault
+  hook lives on that same path, so kill/resume tests run production
+  code.
+
+Five families use it:
+
+- extract (``run_checkpointed`` below): unit = sha1(url) % P, the same
+  key as the assembly groupby, so every url lands in one unit; the
+  guard records the output-shaping config fields and the input files;
+- minhash, simhash, embedding (``state/dedup_checkpoint.py``):
+  ``sigs/`` units are sha1(doc_id) % parts, ``pairs/`` units are salted
+  (band, key) shuffle groups, ``labels/`` holds the converged labels;
+- prep_corpus (``state/dedup_checkpoint.py``): unit = dedup bucket.
 """
 
 from __future__ import annotations
@@ -28,6 +45,7 @@ import os
 import tempfile
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -39,6 +57,22 @@ def partition_of(url: str, num_partitions: int) -> int:
 
 def _manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
+
+
+def _write_json(path: str, obj: dict) -> None:
+    """Atomic JSON write: temp file in the target dir, then rename."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
+    with os.fdopen(fd, "w") as f:
+        json.dump(obj, f)
+    os.replace(tmp, path)
+
+
+def _read_json(path: str) -> dict | None:
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        return json.load(f)
 
 
 def completed_partitions(out_dir: str) -> set[int]:
@@ -57,32 +91,102 @@ def completed_partitions(out_dir: str) -> set[int]:
 
 def write_partition(out_dir: str, part_id: int, table: pa.Table,
                     metrics: dict | None = None) -> None:
-    """Atomically write one partition's docs + manifest."""
-    pdir = os.path.join(out_dir, f"part={part_id}")
-    os.makedirs(pdir, exist_ok=True)
-    os.makedirs(_manifest_dir(out_dir), exist_ok=True)
-    data_path = os.path.join(pdir, "data.parquet")
-    tmp = data_path + ".tmp"
-    pq.write_table(table, tmp)
-    os.replace(tmp, data_path)
-    sha = hashlib.sha256()
-    for url, text in zip(table.column("url").to_pylist(),
-                         table.column("text").to_pylist()):
-        sha.update(url.encode())
-        sha.update(text.encode())
-    manifest = {
-        "part_id": part_id,
-        "n_rows": table.num_rows,
+    """Atomically write one unit's data, then its manifest; ``metrics``
+    are extra manifest fields (stage, timings, checksums)."""
+    data_path = os.path.join(out_dir, f"part={part_id}", "data.parquet")
+    os.makedirs(os.path.dirname(data_path), exist_ok=True)
+    pq.write_table(table, data_path + ".tmp")
+    os.replace(data_path + ".tmp", data_path)
+    _write_json(os.path.join(_manifest_dir(out_dir), f"{part_id}.json"), {
+        "part_id": part_id, "n_rows": table.num_rows,
         "n_bytes": os.path.getsize(data_path),
-        "content_sha256": sha.hexdigest(),
-        "wall_time_s": metrics.get("wall_time_s") if metrics else None,
-        "written_at": time.time(),
-    }
-    fd, tmp_m = tempfile.mkstemp(dir=_manifest_dir(out_dir))
-    with os.fdopen(fd, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp_m, os.path.join(_manifest_dir(out_dir),
-                                   f"{part_id}.json"))
+        "written_at": time.time(), **(metrics or {})})
+
+
+def stage_guard(dir_path: str, params: dict) -> set[int]:
+    """Admit a (re)run of the stage in ``dir_path`` only with the
+    parameters that produced its completed units; returns those units.
+
+    Unit counts are baked into the layout (a different count remaps
+    ids to units and silently drops rows), and every other recorded
+    parameter changes the output, so any difference fails loudly. A
+    dir with completed units but no ``_stage.json`` (older layout) is
+    refused too: nothing proves which parameters produced it."""
+    params = json.loads(json.dumps(params))    # compare as stored
+    path = os.path.join(dir_path, "_stage.json")
+    have = _read_json(path)
+    done = completed_partitions(dir_path)
+    if have is None:
+        if done:
+            raise ValueError(
+                f"checkpoint dir {dir_path} has completed partitions but "
+                f"no _stage.json manifest (written by an older layout); "
+                f"cannot verify it used the requested parameters "
+                f"{params}. Start a fresh out_dir.")
+        _write_json(path, params)
+        return done
+    absent = "<absent>"
+    clash = {k: (have.get(k, absent), params.get(k, absent))
+             for k in sorted(have.keys() | params.keys())
+             if have.get(k, absent) != params.get(k, absent)}
+    if clash:
+        raise ValueError(
+            f"checkpoint resume parameter mismatch under {dir_path}: "
+            f"{clash} (existing vs requested). Resume with the original "
+            f"parameters or start a fresh out_dir.")
+    return done
+
+
+def skip_done(ds, done: set[int], unit_of):
+    """Resume filter: drop rows whose unit (``unit_of(batch)`` -> ids)
+    is already complete."""
+    if not done:
+        return ds
+    done_ids = np.array(sorted(done))
+
+    def keep(batch: pa.Table) -> pa.Table:
+        return batch.filter(pa.array(~np.isin(unit_of(batch), done_ids)))
+
+    return ds.map_batches(keep, batch_format="pyarrow")
+
+
+def write_units(ds, key: str, out_dir: str, build, n_units: int,
+                done: set[int], fail_after: int | None = None,
+                batch_format: str = "pyarrow") -> dict:
+    """Write every unit of ``ds`` (the rows sharing one ``key`` id)
+    from the workers: ``build(group) -> (table, manifest fields)``,
+    then ``write_partition``. Returns run metrics.
+
+    ``fail_after=K`` is the fault hook: the workers write only the
+    first K pending unit ids, then the driver raises, leaving the dir
+    as a crash after K units would."""
+    t0 = time.perf_counter()
+    allowed = (None if fail_after is None else
+               set(sorted(set(range(n_units)) - done)[:fail_after]))
+
+    def write_group(group):
+        arrow = isinstance(group, pa.Table)
+        uid = group[key][0].as_py() if arrow else int(group[key].iloc[0])
+        ids, rows = [], []
+        if allowed is None or uid in allowed:
+            t_start = time.perf_counter()
+            table, fields = build(group)
+            write_partition(out_dir, uid, table, {
+                **fields,
+                "wall_time_s": round(time.perf_counter() - t_start, 4)})
+            ids, rows = [uid], [table.num_rows]
+        out = pa.table({"part_id": pa.array(ids, pa.int64()),
+                        "n_rows": pa.array(rows, pa.int64())})
+        return out if arrow else out.to_pandas()
+
+    res = ds.groupby(key).map_groups(
+        write_group, batch_format=batch_format).materialize()
+    written = res.count()
+    if fail_after is not None:
+        raise RuntimeError(f"injected failure after {written} units")
+    return {"written": written, "skipped": len(done),
+            "wall_time_s": round(time.perf_counter() - t0, 3),
+            "stages": stage_metrics(res)}
 
 
 def stage_metrics(ds) -> list:
@@ -92,7 +196,6 @@ def stage_metrics(ds) -> list:
     surface, analogue of the reference's per-50-items progress log,
     PgsOcr.cs:98-101). Walks the stats chain; returns [] when stats
     are unavailable (e.g. never executed)."""
-    import numpy as np
     out, seen = [], set()
 
     def walk(st):
@@ -126,16 +229,6 @@ def stage_metrics(ds) -> list:
     return out
 
 
-def write_run_manifest(out_dir: str, run: dict) -> None:
-    """Atomic run-level manifest (stage metrics + totals) alongside
-    the per-partition manifests."""
-    os.makedirs(_manifest_dir(out_dir), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=_manifest_dir(out_dir))
-    with os.fdopen(fd, "w") as f:
-        json.dump(run, f, indent=1)
-    os.replace(tmp, os.path.join(_manifest_dir(out_dir), "_run.json"))
-
-
 def read_output(out_dir: str) -> pa.Table:
     """Read back all completed partitions as one table."""
     parts = []
@@ -153,32 +246,34 @@ def run_checkpointed(corpus: str, out_dir: str, cfg=None,
                      fail_after_parts: int | None = None) -> dict:
     """Run the extraction pipeline with per-partition checkpointing.
 
-    Completed partitions (manifest present) are skipped: their urls are
-    filtered out AT THE READ, so no demux/extract work happens for
-    them. Remaining docs get a stable partition id and each partition
-    is written atomically FROM THE WORKERS via
-    ``groupby(_pid).map_groups`` (single-node sandbox: same filesystem;
-    multi-node: out_dir is shared storage) — the driver only aggregates
-    the returned manifest rows.
-
-    ``fail_after_parts`` injects a crash after K newly-written
-    partitions (resume test); that path collects driver-side so the
-    failure point is deterministic. Returns run metrics.
+    The guard admits a resume only with the same output-shaping config
+    (partition count, merge flags, language filters) and the same
+    input files (name + size of ``pages/*.parquet``); sizing fields
+    (batch sizes, concurrency, skew blocks, extract mode) may change.
+    Completed partitions are filtered out AT THE READ, so no
+    demux/extract work happens for them; the rest are written from the
+    workers (single-node: same filesystem; multi-node: out_dir is
+    shared storage). ``fail_after_parts`` is the fault hook of
+    ``write_units``. Returns run metrics.
     """
-    import pyarrow.compute as pc
-
     from ..config import DEFAULT_CONFIG
     from ..pipelines.extract import extract_docs
     from ..sources.pages import read_pages
 
     cfg = cfg or DEFAULT_CONFIG
     num_parts = cfg.num_partitions
-    done = completed_partitions(out_dir)
-    t0 = time.perf_counter()
+    pages_dir = os.path.join(corpus, "pages")
+    done = stage_guard(out_dir, {
+        "family": "extract", "num_partitions": num_parts,
+        "skip_merge": cfg.skip_merge,
+        "force_merge_all": cfg.force_merge_all, "lang": cfg.lang,
+        "ocr_language": cfg.ocr_language,
+        "input": sorted([f, os.path.getsize(os.path.join(pages_dir, f))]
+                        for f in os.listdir(pages_dir)
+                        if f.endswith(".parquet"))})
 
-    def _pids_of(batch: pa.Table):
+    def pids_of(batch: pa.Table):
         # hash each unique url once, then gather (many rows share urls)
-        import numpy as np
         import pandas as pd
         codes, uniques = pd.factorize(batch.column("url").to_pandas())
         per_unique = np.fromiter(
@@ -186,65 +281,27 @@ def run_checkpointed(corpus: str, out_dir: str, cfg=None,
             dtype=np.int32, count=len(uniques))
         return per_unique[codes]
 
-    pages = read_pages(corpus)
-    if done:
-        done_list = sorted(done)
-
-        def keep(batch: pa.Table) -> pa.Table:
-            import numpy as np
-            mask = ~np.isin(_pids_of(batch), done_list)
-            return batch.filter(pa.array(mask, pa.bool_()))
-
-        pages = pages.map_batches(keep, batch_format="pyarrow")
-
-    docs = extract_docs(pages, cfg)
-
     def add_pid(batch: pa.Table) -> pa.Table:
         return batch.append_column(
-            "_pid", pa.array(_pids_of(batch), pa.int32()))
+            "_pid", pa.array(pids_of(batch), pa.int32()))
 
-    docs_pid = docs.map_batches(add_pid, batch_format="pyarrow")
-
-    if fail_after_parts is not None:
-        # deterministic failure injection: collect driver-side, write
-        # partitions in order, crash after K
-        buckets: dict[int, list[pa.Table]] = {}
-        for batch in docs_pid.iter_batches(batch_format="pyarrow"):
-            for pid in set(batch.column("_pid").to_pylist()):
-                sub = batch.filter(pc.equal(batch.column("_pid"), pid))
-                buckets.setdefault(pid, []).append(
-                    sub.drop_columns(["_pid"]))
-        written = 0
-        wall = time.perf_counter() - t0
-        for pid in sorted(buckets):
-            table = pa.concat_tables(buckets[pid]).sort_by("url")
-            write_partition(out_dir, pid, table,
-                            metrics={"wall_time_s": round(wall, 3)})
-            written += 1
-            if written >= fail_after_parts:
-                raise RuntimeError(
-                    f"injected failure after {written} partitions")
-        return {"written_partitions": written,
-                "skipped_partitions": len(done),
-                "wall_time_s": round(wall, 3)}
-
-    def write_group(group: pa.Table) -> pa.Table:
-        pid = group.column("_pid")[0].as_py()
-        t_start = time.perf_counter()
+    def build(group: pa.Table):
         table = group.drop_columns(["_pid"]).sort_by("url")
-        write_partition(out_dir, pid, table,
-                        metrics={"wall_time_s":
-                                 round(time.perf_counter() - t_start, 3)})
-        return pa.table({"part_id": pa.array([pid], pa.int32()),
-                         "n_rows": pa.array([table.num_rows], pa.int64())})
+        sha = hashlib.sha256()
+        for url, text in zip(table.column("url").to_pylist(),
+                             table.column("text").to_pylist()):
+            sha.update(url.encode())
+            sha.update(text.encode())
+        return table, {"content_sha256": sha.hexdigest()}
 
-    mds = docs_pid.groupby("_pid").map_groups(
-        write_group, batch_format="pyarrow")
-    manifest_rows = mds.to_pandas()
-    run = {"written_partitions": int(len(manifest_rows)),
-           "skipped_partitions": len(done),
-           "wall_time_s": round(time.perf_counter() - t0, 3)}
-    # run-level manifest with per-stage rows/s + p50/p99 task times
-    write_run_manifest(out_dir, {**run, "stages": stage_metrics(mds),
-                                 "written_at": time.time()})
+    pages = skip_done(read_pages(corpus, lang=cfg.lang), done, pids_of)
+    docs = extract_docs(pages, cfg).map_batches(add_pid,
+                                                batch_format="pyarrow")
+    m = write_units(docs, "_pid", out_dir, build, num_parts, done,
+                    fail_after_parts)
+    run = {"written_partitions": m["written"],
+           "skipped_partitions": m["skipped"],
+           "wall_time_s": m["wall_time_s"]}
+    _write_json(os.path.join(_manifest_dir(out_dir), "_run.json"),
+                {**run, "stages": m["stages"], "written_at": time.time()})
     return run

@@ -1,119 +1,53 @@
-"""Checkpoint/resume for the MinHash dedup pipeline (north_rule:
-"resumable from checkpoint with per-partition lineage + metrics",
-applied to the OTHER long-running 100 TB job besides extraction).
-
-The two expensive stages persist independently, each with the same
-atomic manifest pattern as the flagship (state/checkpoint.py):
+"""Checkpointed dedup families on the one primitive of
+state/checkpoint.py (``stage_guard`` + ``write_units`` +
+``write_partition``): the other long-running 100 TB jobs besides
+extraction.
 
     out_dir/
-      sigs/part=K/data.parquet    # signature rows, sha-hash(doc_id)%P
-      sigs/_manifest/K.json       # lineage + per-stage metrics
-      pairs/grp=G/data.parquet    # candidate edges of salted group G
-      pairs/_manifest/G.json
+      sigs/_stage.json, sigs/part=K/data.parquet, sigs/_manifest/K.json
+          stage 1: one signature row per doc, unit = sha1(doc_id) % parts
+      pairs/_stage.json, pairs/part=G/data.parquet, pairs/_manifest/G.json
+          stage 2: candidate edges of salted (band, key) group G
+      labels/_stage.json, labels/part=0/*.parquet, labels/_manifest/0.json
+          converged cluster labels of the finish leg
+      prep/_stage.json, prep/part=B/data.parquet, prep/_manifest/B.json
+          prep_corpus: surviving (doc_id, split) rows of dedup bucket B
 
-- Stage 1 (signatures) is the corpus-sized scan (shingle+minhash over
-  every byte of text) — on resume, completed partitions are filtered
+Families: minhash (checkpoint_signatures / checkpoint_pairs /
+finish_dedup_keep), simhash, embedding (LSH near-dup pairs) and
+prep_corpus. Each records a ``family`` key in its ``_stage.json``, so
+one family never resumes onto another's units.
+
+- Stage 1 is the corpus-sized scan: completed partitions are filtered
   out AT THE READ so their text is never re-scanned.
-- Stage 2 (candidate pairing) shuffles tiny (band, key, doc_id) rows;
-  on resume, completed salted groups are filtered out before the
-  shuffle.
-- The finish leg (signature re-join -> Jaccard estimate -> label
-  propagation -> keepers) runs from the persisted artifacts; it is
-  cheap relative to stage 1 and rebuilt on every run.
-
-A stage partition/group is complete iff its manifest exists; manifests
-are written atomically (temp + rename) AFTER the data file.
+- Stage 2 shuffles tiny (band, key, doc_id) rows; completed groups are
+  filtered out before the shuffle. It refuses to start until stage 1
+  is complete (pairs from partial signatures would be marked done
+  with missing candidates).
+- The finish leg runs from the persisted artifacts; only its label
+  propagation result is cached.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import os
-import tempfile
 import time
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .checkpoint import completed_partitions
-
-
-def _write_atomic(dir_path: str, part_id: int, table: pa.Table,
-                  manifest_extra: dict) -> None:
-    pdir = os.path.join(dir_path, f"part={part_id}")
-    mdir = os.path.join(dir_path, "_manifest")
-    os.makedirs(pdir, exist_ok=True)
-    os.makedirs(mdir, exist_ok=True)
-    data_path = os.path.join(pdir, "data.parquet")
-    tmp = data_path + ".tmp"
-    pq.write_table(table, tmp)
-    os.replace(tmp, data_path)
-    manifest = {"part_id": part_id, "n_rows": table.num_rows,
-                "n_bytes": os.path.getsize(data_path),
-                "written_at": time.time(), **manifest_extra}
-    fd, tmp_m = tempfile.mkstemp(dir=mdir)
-    with os.fdopen(fd, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp_m, os.path.join(mdir, f"{part_id}.json"))
-
+from .checkpoint import (_read_json, _write_json, completed_partitions,
+                         skip_done, stage_guard, write_units)
 
 SIG_SCHEMA_VERSION = 1
-
-
-def _stage_manifest(dir_path: str, expected: dict) -> dict:
-    """Stage-level manifest guarding resume parameters: partition /
-    group COUNTS (and schema version) are baked into the on-disk
-    layout — resuming with a different count would remap
-    doc_id -> pid / (band, key) -> grp and silently mis-filter (some
-    partitions never processed, stale files from the old salting still
-    read). Written atomically on first use; any later run with
-    different parameters fails loudly instead."""
-    os.makedirs(dir_path, exist_ok=True)
-    path = os.path.join(dir_path, "_stage.json")
-    if not os.path.exists(path) and completed_partitions(dir_path):
-        # legacy checkpoint dir: completed partitions exist but no
-        # _stage.json records which parameters produced them. Stamping
-        # it with THIS call's parameters would silently accept a
-        # mismatched resume — exactly the remap the manifest prevents.
-        raise ValueError(
-            f"checkpoint dir {dir_path} has completed partitions but "
-            f"no _stage.json manifest (written by an older layout); "
-            f"cannot verify it used the requested parameters "
-            f"{expected}. Start a fresh out_dir.")
-    if os.path.exists(path):
-        with open(path) as f:
-            have = json.load(f)
-        clash = {k: (have.get(k), v) for k, v in expected.items()
-                 if have.get(k) != v}
-        if clash:
-            raise ValueError(
-                f"dedup checkpoint resume parameter mismatch under "
-                f"{dir_path}: {clash} (existing vs requested). Resume "
-                f"with the original parameters or start a fresh "
-                f"out_dir.")
-        return have
-    fd, tmp = tempfile.mkstemp(dir=dir_path)
-    with os.fdopen(fd, "w") as f:
-        json.dump(expected, f)
-    os.replace(tmp, path)
-    return expected
-
-
-def _read_stage(dir_path: str) -> dict | None:
-    path = os.path.join(dir_path, "_stage.json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as f:
-        return json.load(f)
 
 
 def _pid_of_ids(ids, parts: int):
     """Stable partition id per doc_id (sha1 of the decimal id — no
     process hashing, identical across runs/processes)."""
-    import numpy as np
     return np.fromiter(
         (int.from_bytes(hashlib.sha1(str(int(i)).encode()).digest()[:8],
                         "big") % parts for i in ids),
@@ -123,73 +57,29 @@ def _pid_of_ids(ids, parts: int):
 def _checkpoint_sig_stage(sf_dir: str, sig_dir: str, sig_batch_fn,
                           parts: int, fail_after: int | None,
                           stage_params: dict, read_fn=None) -> dict:
-    """Generic stage-1 machinery: persist a per-doc signature table
-    partition-by-partition (sha1(doc_id) % parts), skipping completed
-    partitions AT THE READ. ``sig_batch_fn(source_batch) -> Table``
-    must emit a ``doc_id`` column; ``read_fn(sf_dir)`` supplies the
-    source Dataset (documents by default). Everything else (atomic
-    data+manifest writes, resume filter, parameter guard) is
-    family-independent."""
-    import pyarrow.compute as pc
-
+    """Generic stage 1: persist a per-doc signature table partition-by-
+    partition (sha1(doc_id) % parts), skipping completed partitions AT
+    THE READ. ``sig_batch_fn(source_batch) -> Table`` must emit a
+    ``doc_id`` column; ``read_fn(sf_dir)`` supplies the source Dataset
+    (documents by default)."""
     from ..pipelines.dedupe import _read_docs
 
-    _stage_manifest(sig_dir, {"parts": parts, **stage_params})
-    done = completed_partitions(sig_dir)
-    t0 = time.perf_counter()
+    done = stage_guard(sig_dir, {"parts": parts, **stage_params})
+
+    def pids(batch: pa.Table):
+        return _pid_of_ids(batch.column("doc_id").to_pylist(), parts)
 
     def sig_with_pid(batch: pa.Table) -> pa.Table:
         t = sig_batch_fn(batch)
-        return t.append_column(
-            "_pid", pa.array(_pid_of_ids(t.column("doc_id").to_pylist(),
-                                         parts), pa.int32()))
+        return t.append_column("_pid", pa.array(pids(t), pa.int32()))
 
-    ds = (read_fn or _read_docs)(sf_dir)
-    if done:
-        done_list = sorted(done)
-
-        def keep(batch: pa.Table) -> pa.Table:
-            import numpy as np
-            pids = _pid_of_ids(batch.column("doc_id").to_pylist(), parts)
-            mask = ~np.isin(pids, done_list)
-            return batch.filter(pa.array(mask, pa.bool_()))
-
-        ds = ds.map_batches(keep, batch_format="pyarrow")
-
-    sig_ds = ds.map_batches(sig_with_pid, batch_format="pyarrow",
-                            batch_size=256)
-
-    if fail_after is not None:
-        # deterministic failure injection: collect + write in order,
-        # crash after K new partitions (test path)
-        buckets: dict[int, list[pa.Table]] = {}
-        for batch in sig_ds.iter_batches(batch_format="pyarrow"):
-            for pid in set(batch.column("_pid").to_pylist()):
-                sub = batch.filter(pc.equal(batch.column("_pid"), pid))
-                buckets.setdefault(pid, []).append(sub.drop_columns(["_pid"]))
-        written = 0
-        for pid in sorted(buckets):
-            tab = pa.concat_tables(buckets[pid]).sort_by("doc_id")
-            _write_atomic(sig_dir, pid, tab, {"stage": "signatures"})
-            written += 1
-            if written >= fail_after:
-                raise RuntimeError(
-                    f"injected failure after {written} sig partitions")
-        return {"written": written, "skipped": len(done)}
-
-    def write_group(group: pa.Table) -> pa.Table:
-        pid = group.column("_pid")[0].as_py()
-        t_start = time.perf_counter()
-        tab = group.drop_columns(["_pid"]).sort_by("doc_id")
-        _write_atomic(sig_dir, pid, tab, {
-            "stage": "signatures",
-            "wall_time_s": round(time.perf_counter() - t_start, 4)})
-        return pa.table({"part_id": pa.array([pid], pa.int32())})
-
-    n_written = sig_ds.groupby("_pid").map_groups(
-        write_group, batch_format="pyarrow").count()
-    return {"written": int(n_written), "skipped": len(done),
-            "wall_time_s": round(time.perf_counter() - t0, 3)}
+    sig_ds = skip_done((read_fn or _read_docs)(sf_dir), done, pids)\
+        .map_batches(sig_with_pid, batch_format="pyarrow", batch_size=256)
+    return write_units(
+        sig_ds, "_pid", sig_dir,
+        lambda g: (g.drop_columns(["_pid"]).sort_by("doc_id"),
+                   {"stage": "signatures"}),
+        parts, done, fail_after)
 
 
 def checkpoint_signatures(sf_dir: str, out_dir: str, parts: int = 16,
@@ -200,7 +90,7 @@ def checkpoint_signatures(sf_dir: str, out_dir: str, parts: int = 16,
     return _checkpoint_sig_stage(
         sf_dir, os.path.join(out_dir, "sigs"), _minhash_sig_batch,
         parts, fail_after,
-        {"sig_schema_version": SIG_SCHEMA_VERSION})
+        {"family": "minhash", "sig_schema_version": SIG_SCHEMA_VERSION})
 
 
 def checkpoint_simhash_signatures(sf_dir: str, out_dir: str,
@@ -236,78 +126,32 @@ def _checkpoint_pair_stage(out_dir: str, explode_fn, pairs_fn,
     persisted group-by-group from the checkpointed signature table;
     completed groups are filtered before the shuffle.
     ``explode_fn(sig_table) -> Table`` must emit a ``grp`` column;
-    ``pairs_fn(group_frame) -> DataFrame`` builds the group's edges."""
-    import pyarrow.compute as pc
+    ``pairs_fn(group_frame) -> DataFrame`` builds the group's edges.
+    Even a group with no edges writes a manifest: an absent manifest
+    means "not attempted", never "attempted, no pairs"."""
     import ray.data
 
     sig_dir = os.path.join(out_dir, "sigs")
-    pair_dir = os.path.join(out_dir, "pairs")
-    sig_stage = _read_stage(sig_dir)
-    sig_done = completed_partitions(sig_dir)
-    # stage-1 must be COMPLETE (all recorded partitions), not merely
-    # started: pairing from partial signatures would permanently mark
-    # pair groups done with missing candidates, and later resumes
-    # would skip them
-    if sig_stage is None or len(sig_done) != sig_stage["parts"]:
-        have = len(sig_done)
-        want = sig_stage["parts"] if sig_stage else "unknown"
+    sig_stage = _read_json(os.path.join(sig_dir, "_stage.json")) or {}
+    have = len(completed_partitions(sig_dir))
+    if have != sig_stage.get("parts"):
         raise RuntimeError(
             f"checkpoint_pairs: signature stage incomplete under "
-            f"{sig_dir} ({have}/{want} partitions); run "
-            f"checkpoint_signatures to completion first")
-    _stage_manifest(pair_dir, {"groups": groups,
-                               "sig_parts": sig_stage["parts"],
-                               **stage_params})
-    done = completed_partitions(pair_dir)
-    t0 = time.perf_counter()
-    sigs = ray.data.read_parquet(os.path.join(sig_dir))
-    buckets = sigs.map_batches(explode_fn, batch_format="pyarrow")
-    if done:
-        done_arr = pa.array(sorted(done), pa.int32())
-        buckets = buckets.map_batches(
-            lambda t: t.filter(pc.invert(pc.is_in(t.column("grp"),
-                                                  value_set=done_arr))),
-            batch_format="pyarrow")
-
-    if fail_after is not None:
-        import pandas as pd
-        parts: dict[int, list] = {}
-        for batch in buckets.iter_batches(batch_format="pandas"):
-            for grp, sub in batch.groupby("grp"):
-                parts.setdefault(int(grp), []).append(sub)
-        written = 0
-        for grp in sorted(parts):
-            g = pd.concat(parts[grp], ignore_index=True)
-            pairs = pairs_fn(g)
-            _write_atomic(pair_dir, grp,
-                          pa.Table.from_pandas(pairs, preserve_index=False),
-                          {"stage": "pairs"})
-            written += 1
-            if written >= fail_after:
-                raise RuntimeError(
-                    f"injected failure after {written} pair groups")
-        return {"written": written, "skipped": len(done)}
-
-    def write_group(g) -> pa.Table:
-        grp = int(g["grp"].iloc[0])
-        t_start = time.perf_counter()
-        pairs = pairs_fn(g)
-        n = len(pairs)
-        _write_atomic(pair_dir, grp,
-                      pa.Table.from_pandas(pairs, preserve_index=False), {
-                          "stage": "pairs", "n_input_rows": len(g),
-                          "wall_time_s":
-                          round(time.perf_counter() - t_start, 4)})
-        import pandas as pd
-        return pd.DataFrame({"grp": [grp], "n_pairs": [n]})
-
-    # NOTE: even empty groups write a manifest, so resume knows they
-    # are done (an absent manifest means "not attempted", never
-    # "attempted, no pairs")
-    stats = buckets.groupby("grp").map_groups(
-        write_group, batch_format="pandas").count()
-    return {"written": int(stats), "skipped": len(done),
-            "wall_time_s": round(time.perf_counter() - t0, 3)}
+            f"{sig_dir} ({have}/{sig_stage.get('parts', 'unknown')} "
+            f"partitions); run checkpoint_signatures to completion first")
+    pair_dir = os.path.join(out_dir, "pairs")
+    done = stage_guard(pair_dir, {"groups": groups,
+                                  "sig_parts": sig_stage["parts"],
+                                  **stage_params})
+    buckets = skip_done(
+        ray.data.read_parquet(sig_dir).map_batches(
+            explode_fn, batch_format="pyarrow"),
+        done, lambda t: t.column("grp").to_numpy())
+    return write_units(
+        buckets, "grp", pair_dir,
+        lambda g: (pa.Table.from_pandas(pairs_fn(g), preserve_index=False),
+                   {"stage": "pairs", "n_input_rows": len(g)}),
+        groups, done, fail_after, batch_format="pandas")
 
 
 def checkpoint_pairs(out_dir: str, groups: int = 32,
@@ -318,7 +162,7 @@ def checkpoint_pairs(out_dir: str, groups: int = 32,
     return _checkpoint_pair_stage(
         out_dir,
         functools.partial(_explode_minhash_bands, groups=groups),
-        _bucket_pairs, groups, fail_after, {})
+        _bucket_pairs, groups, fail_after, {"family": "minhash"})
 
 
 def checkpoint_simhash_pairs(out_dir: str, groups: int = 32,
@@ -334,52 +178,42 @@ def checkpoint_simhash_pairs(out_dir: str, groups: int = 32,
         out_dir,
         functools.partial(_explode_simhash_bands, groups=groups),
         functools.partial(_simhash_band_pairs, max_hamming=max_hamming),
-        groups, fail_after, {"max_hamming": max_hamming})
+        groups, fail_after,
+        {"family": "simhash", "max_hamming": max_hamming})
 
 
-def _nonempty_pair_files(out_dir: str) -> list[str]:
-    pair_files = [
-        os.path.join(out_dir, "pairs", d, "data.parquet")
-        for d in sorted(os.listdir(os.path.join(out_dir, "pairs")))
-        if d.startswith("part=")]
-    return [p for p in pair_files
-            if pq.ParquetFile(p).metadata.num_rows]
+def _nonempty_unit_files(unit_dir: str) -> list[str]:
+    files = [os.path.join(unit_dir, f"part={k}", "data.parquet")
+             for k in sorted(completed_partitions(unit_dir))]
+    return [p for p in files if pq.ParquetFile(p).metadata.num_rows]
 
 
 def _labels_cached(labels_dir: str, params: dict, build_fn):
-    """Converged cluster LABELS with the atomic-manifest pattern: a
-    resumed run reads them back instead of re-running the propagation
-    rounds (at 100 TB each round is a join + bucketed min over the
-    edge list — the expensive part of the finish leg). ``params`` are
-    recorded in the stage manifest; a mismatched resume (different
-    threshold / max_hamming) fails loudly instead of serving stale
-    labels. Labels persist DISTRIBUTED (write_parquet into a temp dir,
-    atomic rename, manifest last) — the label table is corpus-sized,
-    it must never collect on the driver."""
+    """Converged cluster LABELS, cached: a resumed run reads them back
+    instead of re-running the propagation rounds (at 100 TB each round
+    is a join + bucketed min over the edge list — the expensive part
+    of the finish leg). ``params`` go through the stage guard, so a
+    different threshold / max_hamming fails loudly instead of serving
+    stale labels. Labels persist DISTRIBUTED (write_parquet into a
+    temp dir, atomic rename, manifest last) — the label table is
+    corpus-sized, it must never collect on the driver."""
     import shutil
 
     import ray.data
 
-    have_labels = (_read_stage(labels_dir) is not None
-                   and completed_partitions(labels_dir))
-    _stage_manifest(labels_dir, params)
-    if have_labels:
-        return ray.data.read_parquet(os.path.join(labels_dir, "part=0"))
-    labels = build_fn().materialize()
     data_dir = os.path.join(labels_dir, "part=0")
+    if stage_guard(labels_dir, params):
+        return ray.data.read_parquet(data_dir)
+    labels = build_fn().materialize()
     tmp_dir = data_dir + ".tmp"
     shutil.rmtree(tmp_dir, ignore_errors=True)
     labels.write_parquet(tmp_dir)
     if os.path.isdir(data_dir):
         shutil.rmtree(data_dir)
     os.replace(tmp_dir, data_dir)
-    mdir = os.path.join(labels_dir, "_manifest")
-    os.makedirs(mdir, exist_ok=True)
-    fd, tmp_m = tempfile.mkstemp(dir=mdir)
-    with os.fdopen(fd, "w") as f:
-        json.dump({"part_id": 0, "stage": "labels",
-                   "written_at": time.time()}, f)
-    os.replace(tmp_m, os.path.join(mdir, "0.json"))
+    _write_json(os.path.join(labels_dir, "_manifest", "0.json"),
+                {"part_id": 0, "stage": "labels",
+                 "written_at": time.time()})
     return labels
 
 
@@ -463,11 +297,11 @@ def checkpoint_embedding_pairs(out_dir: str, groups: int = 32,
             .take(take),
         })
 
-    import functools as ft
     return _checkpoint_pair_stage(
         out_dir, explode,
-        ft.partial(dedupe._embedding_cell_pairs, threshold=threshold),
-        groups, fail_after, {"threshold": threshold})
+        functools.partial(dedupe._embedding_cell_pairs, threshold=threshold),
+        groups, fail_after,
+        {"family": "embedding", "threshold": threshold})
 
 
 def finish_embedding_pairs(out_dir: str):
@@ -478,7 +312,7 @@ def finish_embedding_pairs(out_dir: str):
 
     from ..pipelines.dedupe import bucketed_group_agg
     from ..pipelines.reduce import buckets_for
-    nonempty = _nonempty_pair_files(out_dir)
+    nonempty = _nonempty_unit_files(os.path.join(out_dir, "pairs"))
     if not nonempty:
         return ray.data.from_arrow(pa.table(
             {"doc_a": pa.array([], pa.int64()),
@@ -521,70 +355,25 @@ def run_checkpointed_prep_corpus(sf_dir: str, out_dir: str,
     the narrow normalize/gate scan recomputes (it is what derives the
     bucket id), exactly like the pair stages recompute their explode.
     Returns ((doc_id, split) Dataset, metrics)."""
-    import functools
-
-    import pyarrow.compute as pc
     import ray.data
 
+    from ..pipelines.dedupe import _read_docs
     from ..pipelines.extended import prep_keep_first, prep_stage1
 
     pdir = os.path.join(out_dir, "prep")
-    _stage_manifest(pdir, {"buckets": buckets})
-    done = completed_partitions(pdir)
-    t0 = time.perf_counter()
-    from ..pipelines.dedupe import _read_docs
-    tagged = _read_docs(sf_dir).map_batches(
-        functools.partial(prep_stage1, B=buckets),
-        batch_format="pandas")
-    if done:
-        done_arr = pa.array(sorted(done), pa.int32())
-        tagged = tagged.map_batches(
-            lambda t: t.filter(pc.invert(pc.is_in(t.column("_b"),
-                                                  value_set=done_arr))),
-            batch_format="pyarrow")
-
-    if fail_after is not None:
-        import pandas as pd
-        parts: dict[int, list] = {}
-        for batch in tagged.iter_batches(batch_format="pandas"):
-            for b, sub in batch.groupby("_b"):
-                parts.setdefault(int(b), []).append(sub)
-        written = 0
-        for b in sorted(parts):
-            g = pd.concat(parts[b], ignore_index=True)
-            out = prep_keep_first(g)
-            _write_atomic(pdir, b,
-                          pa.Table.from_pandas(out, preserve_index=False),
-                          {"stage": "prep_corpus"})
-            written += 1
-            if written >= fail_after:
-                raise RuntimeError(
-                    f"injected failure after {written} prep buckets")
-        metrics = {"written": written, "skipped": len(done)}
-    else:
-        def write_group(g) -> "pd.DataFrame":
-            import pandas as pd
-            b = int(g["_b"].iloc[0])
-            t_start = time.perf_counter()
-            out = prep_keep_first(g)
-            _write_atomic(pdir, b,
-                          pa.Table.from_pandas(out, preserve_index=False),
-                          {"stage": "prep_corpus", "n_input_rows": len(g),
-                           "wall_time_s":
-                           round(time.perf_counter() - t_start, 4)})
-            return pd.DataFrame({"_b": [b], "n": [len(out)]})
-
-        n = tagged.groupby("_b").map_groups(
-            write_group, batch_format="pandas").count()
-        metrics = {"written": int(n), "skipped": len(done),
-                   "wall_time_s": round(time.perf_counter() - t0, 3)}
-    # NOTE: buckets with NO surviving rows still write data+manifest
-    # (possibly empty tables), so resume knows they are done
-    part_files = [os.path.join(pdir, d, "data.parquet")
-                  for d in sorted(os.listdir(pdir))
-                  if d.startswith("part=")]
-    nonempty = [p for p in part_files
-                if pq.ParquetFile(p).metadata.num_rows]
+    done = stage_guard(pdir, {"family": "prep_corpus", "buckets": buckets})
+    tagged = skip_done(
+        _read_docs(sf_dir).map_batches(
+            functools.partial(prep_stage1, B=buckets),
+            batch_format="pandas"),
+        done, lambda t: t.column("_b").to_numpy())
+    metrics = write_units(
+        tagged, "_b", pdir,
+        lambda g: (pa.Table.from_pandas(prep_keep_first(g),
+                                        preserve_index=False),
+                   {"stage": "prep_corpus", "n_input_rows": len(g)}),
+        buckets, done, fail_after, batch_format="pandas")
+    nonempty = _nonempty_unit_files(pdir)
     if not nonempty:
         empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "split": pa.array([], pa.string())})
@@ -604,7 +393,7 @@ def finish_dedup_keep(sf_dir: str, out_dir: str,
     def build():
         sigs = ray.data.read_parquet(os.path.join(out_dir, "sigs"))
         sigs = sigs.select_columns(["doc_id", "sig"]).materialize()
-        nonempty = _nonempty_pair_files(out_dir)
+        nonempty = _nonempty_unit_files(os.path.join(out_dir, "pairs"))
         ids = dedupe._read_docs(sf_dir).select_columns(["doc_id"])
         if not nonempty:
             return ids.map_batches(
@@ -621,7 +410,8 @@ def finish_dedup_keep(sf_dir: str, out_dir: str,
         return dedupe.label_propagation(edges, ids)
 
     labels = _labels_cached(os.path.join(out_dir, "labels"),
-                            {"threshold": threshold}, build)
+                            {"family": "minhash", "threshold": threshold},
+                            build)
     return _keepers_of(labels)
 
 
@@ -636,7 +426,7 @@ def finish_simhash_clusters(sf_dir: str, out_dir: str,
     from ..pipelines import dedupe
 
     def build():
-        nonempty = _nonempty_pair_files(out_dir)
+        nonempty = _nonempty_unit_files(os.path.join(out_dir, "pairs"))
         ids = dedupe._read_docs(sf_dir).select_columns(["doc_id"])
         if not nonempty:
             return ids.map_batches(
@@ -655,7 +445,8 @@ def finish_simhash_clusters(sf_dir: str, out_dir: str,
         return dedupe.label_propagation(edges, ids)
 
     return _labels_cached(os.path.join(out_dir, "labels"),
-                          {"max_hamming": max_hamming}, build)
+                          {"family": "simhash",
+                           "max_hamming": max_hamming}, build)
 
 
 def run_checkpointed_simhash(sf_dir: str, out_dir: str,

@@ -42,6 +42,11 @@ def test_cli_end_to_end(tmp_path):
     m2 = json.loads(res2.stdout.strip().splitlines()[-1])
     assert m2["skipped_partitions"] == 4
     assert m2["written_partitions"] == 0
+    # a rerun with a different partition count must refuse, not remap
+    res3 = _run_cli(["--input", corpus, "--output", out,
+                     "--num-cpus", "4", "--partitions", "8"])
+    assert res3.returncode != 0
+    assert "num_partitions" in res3.stderr
 
 
 def test_cli_rejects_bad_tesseract_language(tmp_path):

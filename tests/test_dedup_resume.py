@@ -111,6 +111,9 @@ def test_resume_with_different_parts_raises(ray_session, tmp_path):
     dc.checkpoint_signatures(SF_DIR, out, parts=8)
     with pytest.raises(ValueError, match="parameter mismatch"):
         dc.checkpoint_signatures(SF_DIR, out, parts=4)
+    # another family must not resume onto MinHash signatures
+    with pytest.raises(ValueError, match="parameter mismatch"):
+        dc.checkpoint_simhash_signatures(SF_DIR, out, parts=8)
     dc.checkpoint_pairs(out, groups=16)
     with pytest.raises(ValueError, match="parameter mismatch"):
         dc.checkpoint_pairs(out, groups=32)
@@ -189,6 +192,10 @@ def test_simhash_sig_crash_then_resume(ray_session, tmp_path,
     assert len(completed_partitions(os.path.join(out, "sigs"))) == 3
     m = dc.checkpoint_simhash_signatures(SF_DIR, out, parts=8)
     assert m["skipped"] == 3 and m["written"] == 5
+    # MinHash must not resume onto SimHash signatures: its parameters
+    # are a subset of SimHash's, so a one-way key check let it through
+    with pytest.raises(ValueError, match="parameter mismatch"):
+        dc.checkpoint_signatures(SF_DIR, out, parts=8)
     dc.checkpoint_simhash_pairs(out, groups=16)
     labels = _labels(dc.finish_simhash_clusters(SF_DIR, out))
     assert labels == expected_simhash_clusters

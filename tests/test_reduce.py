@@ -14,52 +14,6 @@ def _ds_of(df: pd.DataFrame, blocks: int = 8):
          if len(df.iloc[i::blocks])])
 
 
-class TestTreeTopk:
-    def test_matches_global_sort(self, ray_session):
-        from pgstosrt_ray.pipelines.reduce import tree_topk
-        rng = np.random.RandomState(3)
-        df = pd.DataFrame({"v": rng.randint(0, 1000, 5000),
-                           "id": np.arange(5000)})
-        got = tree_topk(_ds_of(df), ["v", "id"], [False, True],
-                        k=25).to_pandas().reset_index(drop=True)
-        exp = df.sort_values(["v", "id"], ascending=[False, True])\
-            .head(25).reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, exp)
-
-    def test_fewer_rows_than_k(self, ray_session):
-        from pgstosrt_ray.pipelines.reduce import tree_topk
-        df = pd.DataFrame({"v": [3, 1, 2], "id": [0, 1, 2]})
-        got = tree_topk(_ds_of(df, blocks=2), ["v", "id"], [False, True],
-                        k=100).to_pandas()
-        assert list(got["v"]) == [3, 2, 1]
-
-    def test_tie_break_deterministic(self, ray_session):
-        from pgstosrt_ray.pipelines.reduce import tree_topk
-        df = pd.DataFrame({"v": [5] * 50, "id": np.arange(50)})
-        got = tree_topk(_ds_of(df), ["v", "id"], [False, True],
-                        k=10).to_pandas()
-        assert list(got["id"]) == list(range(10))
-
-
-class TestTreeFold:
-    def test_or_fold_equals_driver_fold(self, ray_session):
-        from pgstosrt_ray.pipelines.reduce import tree_fold_blobs
-        rng = np.random.RandomState(7)
-        blobs = [rng.randint(0, 256, 64, dtype=np.uint8).tobytes()
-                 for _ in range(40)]
-        df = pd.DataFrame({"b": blobs})
-
-        def merge(bs):
-            out = np.zeros(64, dtype=np.uint8)
-            for x in bs:
-                out |= np.frombuffer(x, dtype=np.uint8)
-            return out.tobytes()
-
-        out = tree_fold_blobs(_ds_of(df), "b", merge).take_all()
-        assert len(out) == 1
-        assert out[0]["b"] == merge(blobs)
-
-
 class TestClusterSizing:
     def test_derived_from_cpus(self, ray_session):
         from pgstosrt_ray.pipelines import reduce

@@ -40,7 +40,11 @@ def test_kill_and_resume(ray_session, small_dir, tmp_path):
     done_before = completed_partitions(out)
     assert len(done_before) == 3
 
-    metrics = run_checkpointed(small_dir, out, _cfg())
+    # sizing fields do not change the output, so they may differ on
+    # resume without tripping the parameter guard
+    cfg = _cfg()
+    cfg.extract_concurrency, cfg.extract_batch_size = 3, 64
+    metrics = run_checkpointed(small_dir, out, cfg)
     assert metrics["skipped_partitions"] == 3
     # completed partitions were not rewritten: only the remainder
     assert metrics["written_partitions"] == 8 - 3
@@ -52,6 +56,60 @@ def test_kill_and_resume(ray_session, small_dir, tmp_path):
     ours = dict(zip(got.column("url").to_pylist(),
                     got.column("text").to_pylist()))
     assert ours == exp  # resumed output equals a clean run
+
+
+def test_lang_filter_restricts_output(ray_session, small_dir, tmp_path):
+    """cfg.lang filters pages at the read (the guard records it because
+    it changes the output): only that language's urls are written."""
+    import pyarrow.parquet as pq
+    pages = pq.read_table(f"{small_dir}/pages", columns=["url", "lang"])
+    eng = {u for u, lang in zip(pages.column("url").to_pylist(),
+                                pages.column("lang").to_pylist())
+           if lang == "eng"}
+    cfg = _cfg()
+    cfg.lang = "eng"
+    out = str(tmp_path / "eng")
+    run_checkpointed(small_dir, out, cfg)
+    got = read_output(out)
+    golden = read_golden(small_dir)
+    exp = {u: t for u, t in zip(golden.column("url").to_pylist(),
+                                golden.column("text").to_pylist())
+           if u in eng}
+    assert 0 < len(exp) < golden.num_rows
+    assert dict(zip(got.column("url").to_pylist(),
+                    got.column("text").to_pylist())) == exp
+
+
+@pytest.fixture(scope="module")
+def killed_dir(ray_session, small_dir, tmp_path_factory):
+    """A flagship output dir killed after 3 of 8 partitions."""
+    out = str(tmp_path_factory.mktemp("killed") / "out")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_checkpointed(small_dir, out, _cfg(), fail_after_parts=3)
+    return out
+
+
+@pytest.mark.parametrize("field,value", [
+    ("num_partitions", 4), ("skip_merge", True),
+    ("force_merge_all", True), ("lang", "eng")])
+def test_resume_with_changed_parameters_raises(killed_dir, small_dir,
+                                               field, value):
+    """Resuming with a different partition count remaps url -> part
+    and silently drops urls (33 of 49 written, nothing raised); a
+    different merge flag or language filter would mix outputs of two
+    configurations. The resume must refuse and name the field."""
+    cfg = _cfg()
+    setattr(cfg, field, value)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        run_checkpointed(small_dir, killed_dir, cfg)
+    assert len(completed_partitions(killed_dir)) == 3
+
+
+def test_resume_with_different_input_raises(killed_dir):
+    other = materialize_corpus("tiny", 30, seed=8)
+    with pytest.raises(ValueError, match="'input'"):
+        run_checkpointed(other, killed_dir, _cfg())
+    assert len(completed_partitions(killed_dir)) == 3
 
 
 def test_partition_assignment_stable(ray_session):

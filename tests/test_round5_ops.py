@@ -108,6 +108,26 @@ def test_perplexity_buckets_three_way_split_on_spread_corpus(
     assert (np.diff(s) >= 0).all()
 
 
+def test_perplexity_buckets_empty_corpus_typed(ray_session, tmp_path):
+    """An empty corpus gives a typed empty (doc_id, nll_per_tok,
+    ppl_bucket) table from both engines, not an IndexError."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from pgstosrt_ray.golden import golden_perplexity_buckets
+    from pgstosrt_ray.pipelines import webops
+    docs = pq.read_table(f"{SF_DIR}/documents.parquet")
+    pq.write_table(docs.slice(0, 0), f"{tmp_path}/documents.parquet")
+    want = pa.schema([("doc_id", pa.int64()), ("nll_per_tok", pa.float64()),
+                      ("ppl_bucket", pa.string())])
+    gold = golden_perplexity_buckets(str(tmp_path))
+    assert gold.num_rows == 0 and gold.schema.equals(want)
+    ds = webops.q_perplexity_buckets(str(tmp_path))
+    assert ds.count() == 0
+    sch = ds.schema()
+    assert list(zip(sch.names, sch.types)) == list(zip(want.names,
+                                                       want.types))
+
+
 try:
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st

@@ -297,6 +297,22 @@ def test_pca_project_variance_ordering(ray_session):
     pd.testing.assert_frame_equal(out, again)
 
 
+def test_pca_project_empty_embeddings_typed(ray_session, tmp_path):
+    """An empty embeddings table gives a typed empty (vec_id,
+    pc0..pc7) result, not an IndexError from the dimension probe."""
+    import pyarrow.parquet as pq
+    from pgstosrt_ray.pipelines import similarity
+    emb = pq.read_table(f"{SF_DIR}/embeddings.parquet")
+    pq.write_table(emb.slice(0, 0), f"{tmp_path}/embeddings.parquet")
+    ds = similarity.pca_project(str(tmp_path))
+    assert ds.count() == 0
+    sch = ds.schema()
+    assert sch.names == ["vec_id"] + [
+        f"pc{i}" for i in range(similarity.PCA_COMPONENTS)]
+    assert sch.types == [pa.int64()] + [pa.float64()] * \
+        similarity.PCA_COMPONENTS
+
+
 # ----------------------------------------------------- window funnel
 def test_window_funnel_planted(ray_session, tmp_path):
     """Hand-built sequences covering every depth: the strict-order
