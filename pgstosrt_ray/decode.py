@@ -17,8 +17,15 @@ Replicates the reference decode chain (studied, not copied):
 Memory-traffic design (the extract stage is this engine's hot loop and
 is memory-bandwidth-sensitive): the hot path works on the PALETTE-INDEX
 image (1 byte/pixel) plus the 256x4 LUT and never materializes the
-dense RGBA canvas. Derived quantities:
-  - opacity mask    = lut_alpha[idx] > 0   (for OCR + extents)
+dense RGBA canvas, nor (with the C kernels) the H x W opacity mask.
+Derived quantities:
+  - opacity         = lut_alpha[idx] > 0, ANDed with the written mask
+    only when LUT entry 0 is set. The column scan reads it straight
+    from the index image in one native pass (``_native.column_runs``:
+    each column's longest opaque run + the extents); glyph bits are
+    then read through the same rule at block centres only. Without a
+    C compiler both the RLE walk and the column scan fall back to
+    numpy/Python (``opacity_mask`` + ``glyph.column_runs``).
   - canvas dims     = content + 50 pad (padding carries no content, so
     padded-image equality == content equality AND dims equality)
   - pixel identity  = SHA-256 over (dims, index image, LUT[, written
@@ -41,6 +48,7 @@ import numpy as np
 
 from . import _native
 from .format import build_palette_lut, rle_decode_runs
+from .glyph import column_runs, ocr_runs
 from .parse import DisplaySet
 
 
@@ -173,15 +181,21 @@ def decode_display_set_indexed(ds: DisplaySet,
     return canvas, written_c, lut
 
 
+def _opacity_gate(written: np.ndarray | None,
+                  lut: np.ndarray) -> np.ndarray | None:
+    """The ``written`` mask when it can change opacity, else None:
+    unwritten pixels are idx 0, which renders transparent anyway
+    unless LUT entry 0 is set."""
+    return written if written is not None and lut[0].any() else None
+
+
 def opacity_mask(idx: np.ndarray, written: np.ndarray | None,
                  lut: np.ndarray) -> np.ndarray:
     """Per-pixel opacity (alpha > 0) of the rendered canvas."""
     mask = (lut[:, 3] > 0)[idx]
-    if written is not None and lut[0].any():
-        mask &= written
-    elif written is not None and not lut[0].any():
-        # unwritten pixels are idx 0 which renders transparent anyway
-        pass
+    gate = _opacity_gate(written, lut)
+    if gate is not None:
+        mask &= gate
     return mask
 
 
@@ -235,11 +249,16 @@ def cue_meta_and_text(ds: DisplaySet, lut_cache: dict | None = None
     Ray extract stage, so merge decisions and text are identical by
     construction. Returns (DecodeMeta, trimmed text) — trim per the
     reference's post-OCR Trim (PgsOcr.cs:122)."""
-    from .glyph import ocr_mask
-
     idx, written, lut = decode_display_set_indexed(ds, lut_cache)
-    mask = opacity_mask(idx, written, lut)
-    nt_h, nt_w = mask_extents(mask)
+    alpha = lut[:, 3] > 0
+    gate = _opacity_gate(written, lut)
+    # column scan straight from the index image (no H x W mask); the
+    # numpy scan over the mask is the fallback without a C compiler
+    scan = _native.column_runs(idx, gate, alpha)
+    if scan is None:
+        mask = opacity_mask(idx, written, lut)
+        scan = (*column_runs(mask), *mask_extents(mask))
+    tops, lens, nt_h, nt_w = scan
     h = hashlib.sha256()
     h.update(np.int64(idx.shape[0]).tobytes())
     h.update(np.int64(idx.shape[1]).tobytes())
@@ -249,15 +268,9 @@ def cue_meta_and_text(ds: DisplaySet, lut_cache: dict | None = None
         h.update(np.ascontiguousarray(written).tobytes())
     meta = DecodeMeta(dec_h=idx.shape[0] + PAD, dec_w=idx.shape[1] + PAD,
                       nt_h=nt_h, nt_w=nt_w, pixel_sha=h.digest())
-    return meta, ocr_mask(mask).strip()
 
+    def sample(ys, xs):
+        bits = alpha[idx[ys[:, None], xs]]
+        return bits if gate is None else bits & gate[ys[:, None], xs]
 
-def decode_meta_of(img: np.ndarray) -> DecodeMeta:
-    """Merge metadata from an UNPADDED RGBA canvas (test/compat path —
-    the pipeline uses cue_meta_and_text; this hash is over RGBA bytes
-    and is NOT comparable with cue_meta_and_text keys)."""
-    nt_h, nt_w = non_transparent_extents(img)
-    return DecodeMeta(dec_h=img.shape[0] + PAD, dec_w=img.shape[1] + PAD,
-                      nt_h=nt_h, nt_w=nt_w,
-                      pixel_sha=hashlib.sha256(
-                          np.ascontiguousarray(img).tobytes()).digest())
+    return meta, ocr_runs(tops, lens, sample).strip()

@@ -17,14 +17,21 @@ round-trips. The scale knob exists to exercise the merge heuristics'
 decoded-extent thresholds (>110px high / >300px wide,
 /root/reference/src/PgsToSrt/BluRaySup/BluRaySupParserImageSharp.cs:552-555).
 
-Decoding ("OCR") works on the decoded RGBA canvas only through the
-alpha channel: a column whose longest vertical opaque run L satisfies
+Decoding ("OCR") works on the decoded canvas only through its opacity
+(alpha > 0): a column whose longest vertical opaque run L satisfies
 L >= 16 and L % 16 == 0 is a marker candidate with scale s = L // 16.
 Adjacent candidate columns with the same (top, L) fuse into a marker
 block; consecutive marker blocks with the same (top, L) delimit one
 glyph block, decoded by sampling block centers. Multiple glyph blocks
 (multi-object compositions) are decoded in (top, left) order and joined
 with a newline. Anything unreadable decodes to "".
+
+The decoder has two parts. The column scan finds each column's longest
+opaque run: ``column_runs`` here over a bool mask (the reference), or
+the C kernel ``_native.column_runs`` straight from the palette-index
+image, which the pipeline uses (decode.cue_meta_and_text). The one
+``ocr_runs`` then fuses markers, pairs them and samples the glyph
+blocks through a caller-supplied opacity lookup, whichever scan ran.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 GLYPH_ROWS = 16
+# weight of glyph row r in a codepoint: bit r
+_ROW_BITS = (1 << np.arange(GLYPH_ROWS, dtype=np.uint32))[:, None]
 
 
 def render_text(text: str, scale: int = 1, color_index: int = 1) -> np.ndarray:
@@ -51,27 +60,32 @@ def render_text(text: str, scale: int = 1, color_index: int = 1) -> np.ndarray:
     return np.repeat(np.repeat(cols, scale, axis=0), scale, axis=1)
 
 
-def _longest_runs_per_column(opaque: np.ndarray):
-    """Vectorized per-column longest vertical True-run. Returns
-    (cols, tops, lens) arrays, one entry per column that has any run;
+def column_runs(opaque: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized per-column longest vertical True-run of a bool mask
+    (the numpy reference of ``_native.column_runs``). Returns dense
+    (tops, lens) int arrays, one entry per column (len 0: no run);
     ties broken by the earliest (topmost) run."""
     h, w = opaque.shape
+    tops = np.zeros(w, np.int64)
+    lens = np.zeros(w, np.int64)
     padded = np.zeros((h + 2, w), dtype=np.int8)
     padded[1:-1] = opaque
     d = np.diff(padded, axis=0)
     sr, sc = np.nonzero(d == 1)    # run starts, row-major => sorted by (row, col)
     er, _ec = np.nonzero(d == -1)  # run ends, same run order per column
     if sr.size == 0:
-        return (np.empty(0, np.int64),) * 3
+        return tops, lens
     order = np.lexsort((sr, sc))   # group by column, row ascending
     sc, sr, er = sc[order], sr[order], er[np.lexsort((er, _ec))]
-    lens = er - sr
+    run_lens = er - sr
     # pick per-column max length, earliest on ties: sort by (col, -len, row)
-    pick = np.lexsort((sr, -lens, sc))
+    pick = np.lexsort((sr, -run_lens, sc))
     cols_sorted = sc[pick]
     first = np.concatenate(([0], np.flatnonzero(np.diff(cols_sorted)) + 1))
     sel = pick[first]
-    return sc[sel], sr[sel], lens[sel]
+    tops[sc[sel]] = sr[sel]
+    lens[sc[sel]] = run_lens[sel]
+    return tops, lens
 
 
 def ocr_bitmap(rgba: np.ndarray) -> str:
@@ -80,11 +94,20 @@ def ocr_bitmap(rgba: np.ndarray) -> str:
 
 
 def ocr_mask(opaque: np.ndarray) -> str:
-    """Decode text from a per-pixel opacity mask (the hot-path entry:
-    the pipeline never materializes RGBA, see decode.py)."""
-    cols, tops, lens = _longest_runs_per_column(opaque)
+    """Decode text from a per-pixel opacity mask (numpy column scan;
+    the pipeline scans the palette-index image instead, see decode.py)."""
+    tops, lens = column_runs(opaque)
+    return ocr_runs(tops, lens, lambda ys, xs: opaque[ys[:, None], xs])
+
+
+def ocr_runs(tops: np.ndarray, lens: np.ndarray, sample) -> str:
+    """Decode text from each column's longest opaque run (``tops``,
+    ``lens``: one entry per column, len 0 for none). ``sample(ys, xs)``
+    returns the bool opacity at rows ``ys`` x columns ``xs`` (shape
+    ``(len(ys), len(xs))``); it is read only at glyph block centres."""
     keep = (lens >= GLYPH_ROWS) & (lens % GLYPH_ROWS == 0)
-    cand = list(zip(cols[keep].tolist(), tops[keep].tolist(), lens[keep].tolist()))
+    cand = list(zip(np.flatnonzero(keep).tolist(), tops[keep].tolist(),
+                    lens[keep].tolist()))
     if not cand:
         return ""
     # fuse adjacent candidates with identical (top, length) into marker blocks
@@ -116,10 +139,8 @@ def ocr_mask(opaque: np.ndarray) -> str:
                 # vectorized glyph sampling: bits[r, c] at block centers
                 cxs = xa1 + np.arange(n) * s + s // 2
                 cys = top + np.arange(GLYPH_ROWS) * s + s // 2
-                bits = opaque[np.ix_(cys, cxs)]
-                cps = (bits.astype(np.uint32)
-                       * (1 << np.arange(GLYPH_ROWS, dtype=np.uint32))[:, None]
-                       ).sum(axis=0)
+                bits = sample(cys, cxs)
+                cps = (bits * _ROW_BITS).sum(axis=0)
                 if (cps != 0).all():
                     texts.append((top, xa0,
                                   cps.astype("<u4").tobytes()

@@ -72,6 +72,22 @@ def _demux_router(batch: pa.Table, block_bytes: int):
 
 def _spans_of(pages_ds, cfg: PipelineConfig, demux_bs: int,
               extract_bs: int | None):
+    if cfg.extract_mode != "tasks":
+        # the pool's minimum actors hold their CPUs for the whole run;
+        # if they leave no room for a demux task nothing ever feeds
+        # them and the job hangs, so refuse it before execution
+        from .reduce import cluster_cpus
+        c = cfg.concurrency()
+        pool = c[0] if isinstance(c, tuple) else c
+        need = pool * cfg.extract_num_cpus + cfg.demux_num_cpus
+        cpus = cluster_cpus()
+        if need > cpus:
+            raise ValueError(
+                f"extract actor pool of {pool} actors x "
+                f"{cfg.extract_num_cpus} CPUs plus {cfg.demux_num_cpus} "
+                f"CPUs for demux asks for {need} CPUs, but the cluster "
+                f"has {cpus}; lower extract_concurrency or use "
+                f"extract_mode='tasks'")
     if cfg.skew_block_bytes is not None:
         # byte-bounded cue blocks; extract takes one block per batch.
         # demux gets a fractional-CPU resource spec so it does NOT fuse

@@ -81,6 +81,15 @@ def test_actor_mode_byte_identical(ray_session, tiny_dir):
     assert docs == exp
 
 
+def test_actor_pool_larger_than_cluster_raises(ray_session, tiny_dir):
+    """A pool whose minimum actors leave no CPU for demux would hang;
+    it is refused when the pipeline is built, before execution."""
+    cfg = PipelineConfig(extract_mode="actors", extract_concurrency=(5, 8))
+    with pytest.raises(ValueError, match=r"pool of 5 actors .* asks for "
+                       r"5\.5 CPUs, but the cluster has 4"):
+        extract_docs(read_pages(tiny_dir), cfg)
+
+
 @pytest.mark.parametrize("profile,n", [("heavy", 24), ("wide", 12)])
 def test_profiles_byte_identical(ray_session, profile, n):
     """The heavy (big-bitmap) and wide (many-long-cue) generator
