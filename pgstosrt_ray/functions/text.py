@@ -1,8 +1,9 @@
 """Text-analysis kernels for the training-data pipeline surface:
 token counting, fingerprinting, quality counts, language ID.
 
-All vectorized (pandas str / numpy) — no per-row Python in hot paths
-except hashing, which is per-row by nature but C-speed via hashlib.
+Vectorized (one Arrow whitespace-token scan, pandas str, numpy) — no
+per-row Python in hot paths except hashing, which is per-row by nature
+but C-speed via hashlib.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import re
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
-TOKEN_RE = re.compile(r"\S+")
 # small multilingual stopword sets for the language-ID heuristic
 _LANG_MARKERS = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "it", "you", "that"},
@@ -24,9 +26,36 @@ _LANG_MARKERS = {
 STOPWORDS_EN = sorted(_LANG_MARKERS["en"])
 
 
+def token_rows(texts) -> tuple[np.ndarray, pa.StringArray]:
+    """Every whitespace token of ``texts`` as flat ``(row, tok)``, rows
+    ascending and tokens in text order: adjacent tokens share a doc
+    exactly when their ``row`` is equal. Null/blank texts yield none.
+
+    Contract: tokens split on Unicode whitespace, i.e. Python's ``\\s``
+    (equals ``re.findall(r"\\S+", text)``). The DuckDB oracles'
+    ``regexp_extract_all(text, '\\S+')`` use RE2, whose ``\\s`` is only
+    ``[ \\t\\n\\r\\f]`` (``\\v``, ``\\x1c-\\x1f``, ``\\x85``, ``\\xa0``,
+    ``\\u2028``, ``\\u3000`` stay inside tokens there), so they agree with
+    this only on ASCII-whitespace text — all the test tables hold.
+    The single-space family (tfidf_top_term, repetition_scores,
+    _word_ngrams, dedup.word_ngram_hashes) keeps ``str.split(" ")``:
+    its oracles' ``string_split(text, ' ')`` keeps empty tokens."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    elif not isinstance(texts, pa.Array):
+        texts = pa.array(texts, pa.string())
+    lists = pc.utf8_split_whitespace(texts)
+    row = pc.list_parent_indices(lists)
+    tok = pc.list_flatten(lists)
+    keep = pc.greater(pc.binary_length(tok), 0)
+    return row.filter(keep).to_numpy(), tok.filter(keep)
+
+
 def token_count(texts: pd.Series) -> pd.Series:
-    """Whitespace-delimited token count (regex \\S+)."""
-    return texts.str.count(TOKEN_RE).astype("int64")
+    """Whitespace token count per text (``token_rows`` contract)."""
+    row, _ = token_rows(texts)
+    return pd.Series(np.bincount(row, minlength=len(texts)),
+                     index=texts.index, dtype="int64")
 
 
 def bpe_ish_token_count(texts: pd.Series) -> pd.Series:

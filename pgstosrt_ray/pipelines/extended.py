@@ -20,6 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.text import token_rows
 from .reduce import (bucketed_group_agg, buckets_for, input_bytes,
                      join_partitions, materialize_nonempty, parquet_rows)
 
@@ -125,18 +126,18 @@ SQL_CROSS_JOIN = "SELECT r_name, n_name FROM region CROSS JOIN nation"
 # --- unnest / explode ----------------------------------------------------
 def q_unnest_tokens(sf_dir: str):
     """documents -> one row per whitespace token (the flat_map /
-    UNNEST shape): vectorized explode via str.findall + np.repeat."""
-    from ..functions.text import TOKEN_RE
+    UNNEST shape): ``doc_id[row], tok`` of functions.text.token_rows."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def explode(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df["text"].str.findall(TOKEN_RE)
-        lens = toks.str.len().to_numpy()
-        return pd.DataFrame({
-            "doc_id": np.repeat(df["doc_id"].to_numpy(), lens),
-            "token": [t for lst in toks for t in lst]})
+    def explode(t: pa.Table) -> pa.Table:
+        row, tok = token_rows(t.column("text"))
+        return pa.table({"doc_id": t.column("doc_id").take(row),
+                         "token": tok})
 
-    return ds.map_batches(explode, batch_format="pandas")
+    return materialize_nonempty(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        fallback_schema=pa.schema({"doc_id": pa.int64(),
+                                   "token": pa.string()}))
 
 
 SQL_UNNEST_TOKENS = (
@@ -162,24 +163,13 @@ def q_inverted_index(sf_dir: str, buckets: int | None = None,
     Tokens with more than ``posting_cap`` docs emit MULTIPLE rows of
     <= cap postings each (same schema; n_docs = docs in that row), so
     a corpus-scale stop-word can never blow up one task's frame."""
-    from ..functions.text import TOKEN_RE
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    buckets = buckets or buckets_for(input_bytes(
-        f"{sf_dir}/documents.parquet"))
 
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df["text"].str.findall(TOKEN_RE).map(
-            lambda lst: sorted(set(lst)))
-        lens = toks.str.len().to_numpy()
-        flat = pd.Series([t for lst in toks for t in lst], dtype="object")
-        # vectorized run-stable token hash: the tag only PARTITIONS
-        # (every occurrence of a token gets the same bucket within the
-        # run); results are invariant to the bucket assignment
-        b = (pd.util.hash_pandas_object(flat, index=False).to_numpy()
-             % buckets).astype(np.int32)
-        return pd.DataFrame({
-            "doc_id": np.repeat(df["doc_id"].to_numpy(), lens),
-            "token": flat.to_numpy(), "_b": b})
+    def pairs(t: pa.Table) -> pa.Table:   # distinct (doc_id, token)
+        row, tok = token_rows(t.column("text"))
+        return (pa.table({"doc_id": t.column("doc_id").take(row),
+                          "token": tok})
+                .group_by(["doc_id", "token"]).aggregate([]))
 
     def build(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized posting-list build: one sort, distinct
@@ -189,10 +179,6 @@ def q_inverted_index(sf_dir: str, buckets: int | None = None,
              .drop_duplicates(["token", "doc_id"]))
         toks = g["token"].to_numpy()
         docs = g["doc_id"].to_numpy().astype(np.int64)
-        if not len(toks):
-            return pd.DataFrame({"token": pd.Series([], dtype="object"),
-                                 "postings": pd.Series([], dtype="object"),
-                                 "n_docs": pd.Series([], dtype="int64")})
         first = np.ones(len(toks), dtype=bool)
         first[1:] = toks[1:] != toks[:-1]
         starts = np.flatnonzero(first)
@@ -218,8 +204,14 @@ def q_inverted_index(sf_dir: str, buckets: int | None = None,
             "n_docs": pd.Series([len(p) for p in out_post],
                                 dtype="int64")})
 
-    return (ds.map_batches(pairs, batch_format="pandas")
-            .groupby("_b").map_groups(build, batch_format="pandas"))
+    return materialize_nonempty(
+        bucketed_group_agg(ds.map_batches(pairs, batch_format="pyarrow"),
+                           ["token"], build, buckets=buckets,
+                           est_bytes=input_bytes(
+                               f"{sf_dir}/documents.parquet")),
+        fallback_schema=pa.schema({"token": pa.string(),
+                                   "postings": pa.list_(pa.int64()),
+                                   "n_docs": pa.int64()}))
 
 
 SQL_INVERTED_INDEX = (

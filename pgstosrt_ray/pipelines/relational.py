@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 
 from .reduce import (agg_fold_blobs, agg_topk, bucketed_group_agg,
                      buckets_for, input_bytes, join_partitions,
-                     parquet_rows)
+                     materialize_nonempty, parquet_rows)
 
 
 def _read(sf_dir: str, table: str, columns=None, **kw):
@@ -310,7 +310,10 @@ def q_token_count(sf_dir: str):
                              "n_chars_calc": df["text"].str.len()
                             .astype("int64")})
 
-    return ds.map_batches(counts, batch_format="pandas")
+    return materialize_nonempty(
+        ds.map_batches(counts, batch_format="pandas"),
+        fallback_schema=pa.schema([(c, pa.int64()) for c in (
+            "doc_id", "n_tokens", "n_chars_calc")]))
 
 SQL_TOKEN_COUNT = (
     "SELECT doc_id, length(regexp_extract_all(text, '\\S+')) AS n_tokens, "
@@ -343,7 +346,11 @@ def q_quality_counts(sf_dir: str):
         out.insert(0, "doc_id", df["doc_id"].values)
         return out
 
-    return ds.map_batches(qc, batch_format="pandas")
+    return materialize_nonempty(
+        ds.map_batches(qc, batch_format="pandas"),
+        fallback_schema=pa.schema([(c, pa.int64()) for c in (
+            "doc_id", "n_chars", "n_tokens", "n_alpha", "n_digit",
+            "n_punct", "n_stopwords")]))
 
 SQL_QUALITY_COUNTS = (
     "SELECT doc_id, length(text) AS n_chars, "
@@ -418,26 +425,21 @@ def q_top_tokens(sf_dir: str, k: int = 100):
     in-cluster top-k fold (reduce.agg_topk) — no global
     sort, and the driver only ever sees the final k rows (never the
     vocabulary)."""
-    import pandas as pd
-    from ..functions.text import TOKEN_RE
+    from ..functions.text import token_rows
     ds = _read(sf_dir, "documents", columns=["text"])
 
-    def counts(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df["text"].str.findall(TOKEN_RE)
-        flat = ([t for lst in toks for t in lst])
-        if not flat:
-            return pd.DataFrame({"token": pd.Series([], dtype="object"),
-                                 "n": pd.Series([], dtype="int64")})
-        vc = pd.Series(flat).value_counts()
-        return pd.DataFrame({"token": vc.index.to_numpy(),
-                             "n": vc.to_numpy().astype("int64")})
+    def counts(t: pa.Table) -> pa.Table:
+        vc = pc.value_counts(token_rows(t.column("text"))[1])
+        return pa.table({"token": vc.field("values"),
+                         "n": vc.field("counts")})
 
     # vocabulary-cardinality key => bucketed sum of the per-batch
     # partial counts, then the in-cluster top-k
-    total = bucketed_group_agg(
-        ds.map_batches(counts, batch_format="pandas"), ["token"],
+    total = materialize_nonempty(bucketed_group_agg(
+        ds.map_batches(counts, batch_format="pyarrow"), ["token"],
         lambda g: g.groupby("token", as_index=False)["n"].sum(),
-        est_bytes=_table_bytes(sf_dir, "documents"))
+        est_bytes=_table_bytes(sf_dir, "documents")),
+        fallback_schema=pa.schema({"token": pa.string(), "n": pa.int64()}))
     return agg_topk(total, ["n", "token"], [False, True], k=k)
 
 SQL_TOP_TOKENS = (

@@ -18,6 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.text import md5_bucket_of_ids, sha1_u64, token_rows
 from .reduce import (agg_fold_blobs, agg_group_topk, bucketed_group_agg,
                      input_bytes, materialize_nonempty)
 
@@ -26,6 +27,13 @@ def _read(sf_dir: str, table: str, columns=None, **kw):
     import ray.data
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet",
                                  columns=columns, **kw)
+
+
+def _count_by(t: pa.Table, name: str) -> pa.Table:
+    """Occurrences of each distinct row of ``t``, as column ``name``."""
+    return (t.group_by(t.column_names).aggregate([([], "count_all")])
+            .select(t.column_names + ["count_all"])
+            .rename_columns(t.column_names + [name]))
 
 
 def _table_bytes(sf_dir: str, table: str) -> int:
@@ -116,23 +124,19 @@ def q_lang_top_tokens(sf_dir: str, k: int = 10):
     then the single-shuffle per-group top-k fold (reduce.
     agg_group_topk — language is a fixed domain, so every fold state
     is <= langs x k rows and the driver sees only the final rows)."""
-    from ..functions.text import TOKEN_RE
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
-    def counts(df: pd.DataFrame) -> pd.DataFrame:
-        s = df.set_index("lang")["text"].str.findall(TOKEN_RE).explode()
-        s = s.dropna()
-        g = s.reset_index()
-        g.columns = ["lang", "token"]
-        out = g.groupby(["lang", "token"], as_index=False).size()
-        out.columns = ["lang", "token", "n"]
-        out["n"] = out["n"].astype("int64")
-        return out
+    def counts(t: pa.Table) -> pa.Table:
+        row, tok = token_rows(t.column("text"))
+        return _count_by(pa.table({"lang": t.column("lang").take(row),
+                                   "token": tok}), "n")
 
-    total = bucketed_group_agg(
-        ds.map_batches(counts, batch_format="pandas"), ["lang", "token"],
+    total = materialize_nonempty(bucketed_group_agg(
+        ds.map_batches(counts, batch_format="pyarrow"), ["lang", "token"],
         lambda g: g.groupby(["lang", "token"], as_index=False)["n"].sum(),
-        est_bytes=_table_bytes(sf_dir, "documents"))
+        est_bytes=_table_bytes(sf_dir, "documents")),
+        fallback_schema=pa.schema({"lang": pa.string(),
+                                   "token": pa.string(), "n": pa.int64()}))
     return agg_group_topk(total, ["lang"], ["n", "token"],
                           [False, True], k=k)
 
@@ -159,7 +163,6 @@ STRATA_DEFAULT_PCT = 20
 
 
 def q_stratified_sample(sf_dir: str):
-    from ..functions.text import md5_bucket_of_ids
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
 
     def pick(df: pd.DataFrame) -> pd.DataFrame:
@@ -716,17 +719,19 @@ BM25_K = 20
 
 def q_bm25_search(sf_dir: str, k: int = BM25_K):
     from .reduce import agg_topk
-    from ..functions.text import TOKEN_RE
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     nt = len(BM25_TERMS)
 
-    def stats(df: pd.DataFrame) -> pa.Table:
-        toks = df["text"].str.findall(TOKEN_RE)
-        arr = np.zeros(2 + nt, dtype=np.int64)
-        arr[0] = len(df)
-        arr[1] = int(toks.map(len).sum())
-        for i, term in enumerate(BM25_TERMS):
-            arr[2 + i] = int(toks.map(lambda t: term in t).sum())
+    def dl_tf(t: pa.Table):   # per-doc length, per-term frequencies
+        row, tok = token_rows(t.column("text"))
+        return np.bincount(row, minlength=t.num_rows), [np.bincount(
+            row, pc.equal(tok, term).to_numpy(zero_copy_only=False),
+            t.num_rows) for term in BM25_TERMS]
+
+    def stats(t: pa.Table) -> pa.Table:
+        dl, tfs = dl_tf(t)
+        arr = np.array([t.num_rows, dl.sum()]
+                       + [np.count_nonzero(tf) for tf in tfs], np.int64)
         return pa.table({"s": pa.array([arr.tobytes()], pa.binary())})
 
     def merge(blobs) -> bytes:
@@ -736,27 +741,28 @@ def q_bm25_search(sf_dir: str, k: int = BM25_K):
         return out.tobytes()
 
     st = np.frombuffer(
-        agg_fold_blobs(ds.map_batches(stats, batch_format="pandas"),
+        agg_fold_blobs(ds.map_batches(stats, batch_format="pyarrow"),
                        "s", merge), dtype=np.int64)
     n_docs, total_len = int(st[0]), int(st[1])
     avgdl = np.float64(total_len) / np.float64(max(n_docs, 1))
     idf = np.log((n_docs - st[2:].astype(np.float64) + 0.5)
                  / (st[2:].astype(np.float64) + 0.5) + 1.0)
 
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df["text"].str.findall(TOKEN_RE)
-        dl = toks.map(len).to_numpy(np.float64)
+    def score(t: pa.Table) -> pa.Table:
+        dl, tfs = dl_tf(t)
         norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl)
-        s = np.zeros(len(df), dtype=np.float64)
-        for i, term in enumerate(BM25_TERMS):  # left fold: determinism
-            tf = toks.map(lambda t: t.count(term)).to_numpy(np.float64)
+        s = np.zeros(t.num_rows, dtype=np.float64)
+        for i, tf in enumerate(tfs):  # left fold: determinism
             s = s + idf[i] * (tf * (BM25_K1 + 1.0)) / (tf + norm)
         s = np.round(s, 6)
         keep = s > 0
-        return pd.DataFrame({"doc_id": df["doc_id"][keep],
-                             "score": s[keep]})
+        return pa.table({"doc_id": t.column("doc_id").filter(keep),
+                         "score": pa.array(s[keep], pa.float64())})
 
-    scored = ds.map_batches(score, batch_format="pandas")
+    scored = materialize_nonempty(
+        ds.map_batches(score, batch_format="pyarrow"),
+        fallback_schema=pa.schema({"doc_id": pa.int64(),
+                                   "score": pa.float64()}))
     top = agg_topk(scored, ["score", "doc_id"], [False, True], k=k)
     return top.select(["doc_id", "score"])
 
@@ -774,18 +780,14 @@ def q_bm25_search(sf_dir: str, k: int = BM25_K):
 UNIGRAM_VOCAB_LIMIT = 1 << 20
 
 
-def _unigram_counts(df: pd.DataFrame) -> pd.DataFrame:
-    from ..functions.text import TOKEN_RE
-    toks = df.set_index("doc_id")["text"].str.findall(TOKEN_RE).explode()
-    toks = toks.dropna()
-    cnt = (toks.groupby([toks.index, toks]).size()
-           .rename("c").reset_index())
-    cnt.columns = ["doc_id", "tok", "c"]
-    return cnt
+def _unigram_counts(t: pa.Table) -> pa.Table:
+    """(doc_id, tok, c): occurrences of each token in each doc."""
+    row, tok = token_rows(t.column("text"))
+    return _count_by(pa.table({"doc_id": t.column("doc_id").take(row),
+                               "tok": tok}), "c")
 
 
-def _nll_rows(doc_ids, toks, cs, logp, all_docs, tok_sorted=False
-              ) -> pd.DataFrame:
+def _nll_rows(doc_ids, toks, cs, logp, all_docs) -> pd.DataFrame:
     """(doc, tok, c, logp) rows -> per-doc (n_tokens, nll_per_tok);
     docs absent from the rows (zero tokens) emit (0, 0.0)."""
     frame = pd.DataFrame({"doc_id": doc_ids, "tok": toks, "c": cs,
@@ -793,14 +795,11 @@ def _nll_rows(doc_ids, toks, cs, logp, all_docs, tok_sorted=False
     frame = frame.sort_values(["doc_id", "tok"], kind="mergesort",
                               ignore_index=True)
     d = frame["doc_id"].to_numpy()
-    starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
+    starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]][:len(d)])
     contrib = frame["c"].to_numpy(np.float64) * (-frame["lp"].to_numpy())
-    sums = (np.add.reduceat(contrib, starts) if len(frame)
-            else np.zeros(0))
-    ntok = np.add.reduceat(frame["c"].to_numpy(np.int64), starts) \
-        if len(frame) else np.zeros(0, np.int64)
-    out = pd.DataFrame({"doc_id": d[starts] if len(frame) else
-                        np.zeros(0, np.int64),
+    sums = np.add.reduceat(contrib, starts)
+    ntok = np.add.reduceat(frame["c"].to_numpy(np.int64), starts)
+    out = pd.DataFrame({"doc_id": d[starts].astype(np.int64),
                         "n_tokens": ntok.astype("int64"),
                         "nll_per_tok": np.round(
                             sums / np.maximum(ntok, 1), 6)})
@@ -821,17 +820,15 @@ def q_unigram_logprob(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     docs_bytes = _table_bytes(sf_dir, "documents")
     counts = materialize_nonempty(
-        ds.map_batches(_unigram_counts, batch_format="pandas"))
+        ds.map_batches(_unigram_counts, batch_format="pyarrow"))
     model = materialize_nonempty(bucketed_group_agg(
         counts, ["tok"],
         lambda g: g.groupby("tok", as_index=False)["c"].sum(),
-        est_bytes=docs_bytes))
+        est_bytes=docs_bytes),
+        fallback_schema=pa.schema({"tok": pa.string(), "c": pa.int64()}))
     vocab_n = model.count()
     if vocab_n <= UNIGRAM_VOCAB_LIMIT:
-        tabs = [t for t in ray.get(model.to_arrow_refs()) if t.num_rows]
-        tab = (pa.concat_tables(tabs) if tabs else   # no tokens at all
-               pa.table({"tok": pa.array([], pa.string()),
-                         "c": pa.array([], pa.int64())}))
+        tab = pa.concat_tables(ray.get(model.to_arrow_refs()))
         keys = tab.column("tok").to_numpy(zero_copy_only=False)
         order = np.argsort(keys)
         n = tab.column("c").to_numpy()[order].astype(np.float64)
@@ -839,15 +836,20 @@ def q_unigram_logprob(sf_dir: str):
         logp = np.log((n + 1.0) / (total + np.float64(vocab_n)))
         ref = ray.put((keys[order], logp))
 
-        def score(df: pd.DataFrame) -> pd.DataFrame:
+        def score(t: pa.Table) -> pd.DataFrame:
             k, lp = ray.get(ref)
-            cnt = _unigram_counts(df)
-            lpv = lp[np.searchsorted(k, cnt["tok"].to_numpy())]
-            return _nll_rows(cnt["doc_id"].to_numpy(), cnt["tok"],
-                             cnt["c"].to_numpy(), lpv,
-                             df["doc_id"].to_numpy())
+            cnt = _unigram_counts(t)
+            tok = cnt.column("tok").to_numpy(zero_copy_only=False)
+            return _nll_rows(cnt.column("doc_id").to_numpy(), tok,
+                             cnt.column("c").to_numpy(),
+                             lp[np.searchsorted(k, tok)],
+                             t.column("doc_id").to_numpy())
 
-        return ds.map_batches(score, batch_format="pandas")
+        return materialize_nonempty(
+            ds.map_batches(score, batch_format="pyarrow"),
+            fallback_schema=pa.schema({"doc_id": pa.int64(),
+                                       "n_tokens": pa.int64(),
+                                       "nll_per_tok": pa.float64()}))
     # large-vocabulary path: logp attaches by join, per-doc folds
     # reduce through the bucketed sum keyed on doc_id
     total = model.sum("c")
@@ -906,22 +908,19 @@ def q_cms_token_counts(sf_dir: str):
     probes the final grid once. Value-checked against the independent
     single-threaded oracle (golden.golden_cms_token_counts)."""
     from ..functions.sketch import cms_merge, cms_of, cms_query
-    from ..functions.text import TOKEN_RE, sha1_u64
     ds = _read(sf_dir, "documents", columns=["text"])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        toks = df["text"].str.findall(TOKEN_RE).explode().dropna()
-        vc = toks.value_counts()
-        h = sha1_u64(pd.Series(vc.index.to_numpy(dtype=object)))
-        grid = cms_of(h, vc.to_numpy())
+    def partial(t: pa.Table) -> pa.Table:
+        vc = pc.value_counts(token_rows(t.column("text"))[1])
+        grid = cms_of(sha1_u64(vc.field("values").to_pylist()),
+                      vc.field("counts").to_numpy())
         return pa.table({"cms": pa.array([grid.tobytes()], pa.binary())})
 
     blob = agg_fold_blobs(
-        ds.map_batches(partial, batch_format="pandas"), "cms",
+        ds.map_batches(partial, batch_format="pyarrow"), "cms",
         lambda blobs: cms_merge(blobs).tobytes())
     grid = cms_merge([blob])
-    from ..functions.text import sha1_u64 as _h
-    est = cms_query(grid, _h(pd.Series(list(CMS_PROBES))))
+    est = cms_query(grid, sha1_u64(CMS_PROBES))
     return pa.table({"token": pa.array(list(CMS_PROBES), pa.string()),
                      "est_n": pa.array(est, pa.int64())})
 
@@ -935,22 +934,18 @@ def q_idf_table(sf_dir: str):
     counts reduce through the data-sized bucketed sum, then idf is a
     map-only formula. Float parity with the SQL oracle: exact-int df
     and n_docs, ONE division inside the log, round 6."""
-    from ..functions.text import TOKEN_RE
     from .reduce import parquet_rows
     ds = _read(sf_dir, "documents", columns=["text"])
     n_docs = parquet_rows(f"{sf_dir}/documents.parquet")
 
-    def dfreq(df: pd.DataFrame) -> pd.DataFrame:
-        flat = [t for txt in df["text"] for t in set(TOKEN_RE.findall(txt))]
-        if not flat:
-            return pd.DataFrame({"token": pd.Series([], dtype="object"),
-                                 "df": pd.Series([], dtype="int64")})
-        vc = pd.Series(flat).value_counts()
-        return pd.DataFrame({"token": vc.index.to_numpy(),
-                             "df": vc.to_numpy().astype("int64")})
+    def dfreq(t: pa.Table) -> pa.Table:
+        row, tok = token_rows(t.column("text"))
+        pairs = pa.table({"row": row, "token": tok})
+        return _count_by(pairs.group_by(["row", "token"]).aggregate([])
+                         .select(["token"]), "df")
 
     total = bucketed_group_agg(
-        ds.map_batches(dfreq, batch_format="pandas"), ["token"],
+        ds.map_batches(dfreq, batch_format="pyarrow"), ["token"],
         lambda g: g.groupby("token", as_index=False)["df"].sum(),
         est_bytes=_table_bytes(sf_dir, "documents"))
 
@@ -992,36 +987,17 @@ PMI_MIN_COUNT = 5
 PMI_TOP_K = 50
 
 
-def _bigram_and_token_counts(df: pd.DataFrame) -> pd.DataFrame:
+def _bigram_and_token_counts(t: pa.Table) -> pa.Table:
     """ONE text scan emits both count families in one keyed frame:
-    bigram rows (w1, w2, n) and unigram rows (w1=token, w2=None, n) —
-    tokens match \\S+ so None can never collide with a real w2. Both
-    then reduce through a SINGLE bucketed sum keyed on (w1, w2)
-    (dropna=False) instead of two scans + two shuffles."""
-    from ..functions.text import TOKEN_RE
-    w1: list = []
-    w2: list = []
-    toks: list = []
-    for txt in df["text"]:
-        ts = TOKEN_RE.findall(txt)
-        toks.extend(ts)
-        if len(ts) >= 2:
-            w1.extend(ts[:-1])
-            w2.extend(ts[1:])
-    if not toks:
-        return pd.DataFrame({"w1": pd.Series([], dtype="object"),
-                             "w2": pd.Series([], dtype="object"),
-                             "n": pd.Series([], dtype="int64")})
-    big = (pd.DataFrame({"w1": w1, "w2": w2})
-           .groupby(["w1", "w2"], as_index=False).size()
-           if w1 else pd.DataFrame({"w1": [], "w2": [], "size": []}))
-    big.columns = ["w1", "w2", "n"]
-    vc = pd.Series(toks).value_counts()
-    uni = pd.DataFrame({"w1": vc.index.to_numpy(),
-                        "w2": None, "n": vc.to_numpy()})
-    out = pd.concat([big, uni], ignore_index=True)
-    out["n"] = out["n"].astype("int64")
-    return out
+    bigram rows (w1, w2, n) of adjacent tokens in one doc (equal
+    ``row``) and unigram rows (w1=token, w2=null, n) — a token is never
+    null, so the families never collide. Both then reduce through a
+    SINGLE bucketed sum keyed on (w1, w2) (dropna=False)."""
+    row, tok = token_rows(t.column("text"))
+    i = np.flatnonzero(row[1:] == row[:-1])
+    big = pa.table({"w1": tok.take(i), "w2": tok.take(i + 1)})
+    uni = pa.table({"w1": tok, "w2": pa.nulls(len(tok), pa.string())})
+    return pa.concat_tables([_count_by(big, "n"), _count_by(uni, "n")])
 
 
 def q_bigram_pmi(sf_dir: str, k: int = PMI_TOP_K,
@@ -1044,7 +1020,7 @@ def q_bigram_pmi(sf_dir: str, k: int = PMI_TOP_K,
     # one scan, ONE bucketed shuffle for BOTH count families (unigram
     # rows ride with w2=None); split by w2 nullness afterwards
     counts = materialize_nonempty(bucketed_group_agg(
-        ds.map_batches(_bigram_and_token_counts, batch_format="pandas"),
+        ds.map_batches(_bigram_and_token_counts, batch_format="pyarrow"),
         ["w1", "w2"],
         lambda g: g.groupby(["w1", "w2"], as_index=False,
                             dropna=False)["n"].sum(),
