@@ -44,10 +44,17 @@ def token_rows(texts) -> tuple[np.ndarray, pa.StringArray]:
         texts = texts.combine_chunks()
     elif not isinstance(texts, pa.Array):
         texts = pa.array(texts, pa.string())
+    n = len(texts)
+    # utf8_split_whitespace reads past the end of a text that ends in
+    # whitespace: if the bytes after the array's last text are invalid
+    # UTF-8 (unset buffer padding), it returns that whitespace as a
+    # token, so results varied from call to call. A trailing "x" row
+    # makes the bytes after every real text valid; its token is dropped.
+    texts = pa.concat_arrays([texts, pa.array(["x"], texts.type)])
     lists = pc.utf8_split_whitespace(texts)
     row = pc.list_parent_indices(lists)
     tok = pc.list_flatten(lists)
-    keep = pc.greater(pc.binary_length(tok), 0)
+    keep = pc.and_(pc.greater(pc.binary_length(tok), 0), pc.less(row, n))
     return row.filter(keep).to_numpy(), tok.filter(keep)
 
 

@@ -35,7 +35,8 @@ import pyarrow as pa
 from ..functions.dedup import (MinHasher, char_shingle_hashes,
                                lsh_band_keys_matrix, popcount64, salt_bucket,
                                simhash64, word_ngram_hashes)
-from .reduce import bucketed_group_agg, join_partitions, shuffle_groups
+from .reduce import (bucketed_group_agg, join_partitions, materialize_nonempty,
+                     shuffle_groups)
 
 NUM_PERM = 128
 BANDS = 16
@@ -73,12 +74,6 @@ def _read_docs(sf_dir: str):
     import ray.data
     return ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
-
-
-def _materialize_nonempty(ds):
-    # shared helper (see reduce.materialize_nonempty for the why)
-    from .reduce import materialize_nonempty
-    return materialize_nonempty(ds)
 
 
 SIG_SCHEMA = pa.schema([("doc_id", pa.int64()), ("sig", pa.binary())])
@@ -159,15 +154,32 @@ def _bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
 
 
 def _distinct_pairs(pair_ds, buckets: int):
+    """Distinct (doc_a, doc_b) pairs, materialized.
+
+    materialize() boundaries keep at most ONE hash-shuffle join per
+    streaming execution downstream: concurrent join aggregator pools
+    can resource-deadlock on small CPU budgets."""
     # candidate-pair count grows with the corpus => bucketed distinct,
     # never a raw-key groupby (measured 53.8 s vs 0.6 s at 36k groups).
     # Bucket count = the DATA-SIZED band-group count the pairs came
     # out of: pair volume scales with band-cell volume, so the dedup
     # frames stay ~cell-sized at any corpus size.
-    return bucketed_group_agg(
+    return materialize_nonempty(bucketed_group_agg(
         pair_ds, ["doc_a", "doc_b"],
         lambda g: g.drop_duplicates(["doc_a", "doc_b"])
         [["doc_a", "doc_b"]].reset_index(drop=True),
+        buckets=buckets))
+
+
+def _max_cosine_pairs(pair_ds, buckets: int):
+    """One (doc_a, doc_b, cosine) row per pair: a pair can collide in
+    several LSH tables, so keep its max cosine. Bucketed over the
+    corpus-cardinality pair key; ``buckets`` = the data-sized cell
+    group count the pairs fell out of."""
+    return bucketed_group_agg(
+        pair_ds, ["doc_a", "doc_b"],
+        lambda g: g.groupby(["doc_a", "doc_b"], as_index=False)
+        ["cosine"].max(),
         buckets=buckets)
 
 
@@ -177,14 +189,10 @@ def candidate_ids(sigs, groups: int):
     buckets = sigs.map_batches(
         functools.partial(_explode_minhash_bands, groups=groups),
         batch_format="pyarrow")
-    # materialize() boundaries keep at most ONE hash-shuffle join per
-    # streaming execution: concurrent join aggregator pools can
-    # resource-deadlock on small CPU budgets (the pair/bucket tables
-    # at the boundaries are the small, collision-bounded ones)
-    return _materialize_nonempty(_distinct_pairs(
+    return _distinct_pairs(
         buckets.groupby("grp").map_groups(
             _bucket_pairs, batch_format="pandas"),
-        buckets=_groups(groups)))
+        buckets=_groups(groups))
 
 
 def minhash_candidate_pairs(sf_dir: str, threshold: float = 0.5,
@@ -232,7 +240,7 @@ def estimate_pairs(cand, sigs, threshold: float):
         return _estimate_pairs_broadcast(cand, sigs, threshold, n_pairs)
     with_a = cand.join(sigs, "inner", join_partitions(),
                        on=("doc_a",), right_on=("doc_id",))
-    with_a = _materialize_nonempty(with_a.map_batches(
+    with_a = materialize_nonempty(with_a.map_batches(
         lambda t: pa.table({"doc_a": t.column("doc_a"),
                             "doc_b": t.column("doc_b"),
                             "sig_a": t.column("sig")}),
@@ -344,6 +352,15 @@ def _edges_of(pair_ds):
     return pair_ds.map_batches(both, batch_format="pyarrow")
 
 
+def _clusters_of(pair_ds, sf_dir: str, max_rounds: int = 25):
+    """Near-dup (doc_a, doc_b) pairs -> (doc_id, cluster_id) for every
+    document of ``sf_dir`` (label_propagation over the undirected
+    edge list; a document in no pair is its own cluster)."""
+    edges = materialize_nonempty(_edges_of(pair_ds))
+    ids = _read_docs(sf_dir).select_columns(["doc_id"])
+    return label_propagation(edges, ids, max_rounds)
+
+
 def minhash_dedup_clusters(sf_dir: str, threshold: float = 0.5,
                            max_rounds: int = 25):
     """documents -> (doc_id, cluster_id) via MinHash-LSH + distributed
@@ -352,10 +369,8 @@ def minhash_dedup_clusters(sf_dir: str, threshold: float = 0.5,
     groupby-min over the EDGE list only; convergence detected by the
     monotone non-increasing label sum. Nothing corpus-sized reaches
     the driver; singletons get their label by left-outer join."""
-    edges = _materialize_nonempty(_edges_of(
-        minhash_candidate_pairs(sf_dir, threshold)))
-    ids = _read_docs(sf_dir).select_columns(["doc_id"])
-    return label_propagation(edges, ids, max_rounds)
+    return _clusters_of(minhash_candidate_pairs(sf_dir, threshold),
+                        sf_dir, max_rounds)
 
 
 def label_propagation(edges, ids, max_rounds: int = 25):
@@ -393,7 +408,7 @@ def label_propagation(edges, ids, max_rounds: int = 25):
 
     # node cardinality ~ docs-with-duplicates: bucketed min-label,
     # never a raw-key groupby
-    labels = _materialize_nonempty(
+    labels = materialize_nonempty(
         bucketed_group_agg(
             edges, ["node"],
             lambda g: g.groupby("node", as_index=False)["nbr"].min()
@@ -409,7 +424,7 @@ def label_propagation(edges, ids, max_rounds: int = 25):
             lambda t: pa.table({"lnode": t.column("nbr"),
                                 "lbl": t.column("lbl")}),
             batch_format="pyarrow")
-        merged = _materialize_nonempty(bucketed_group_agg(
+        merged = materialize_nonempty(bucketed_group_agg(
             prop.union(labels), ["lnode"],
             lambda g: g.groupby("lnode", as_index=False)["lbl"].min(),
             est_bytes=n_edges * 32))
@@ -446,24 +461,24 @@ SIMHASH_SCHEMA = pa.schema([
 ])
 
 
+def _simhash_sig_batch(batch: pa.Table) -> pa.Table:
+    hs = np.array([simhash64(word_ngram_hashes(t, n=1))
+                   for t in batch.column("text").to_pylist()],
+                  dtype=np.uint64)
+    cols = {"doc_id": batch.column("doc_id").cast(pa.int64()),
+            "simhash": pa.array(hs.astype(np.int64), pa.int64())}
+    for b in range(4):
+        cols[f"band{b}"] = pa.array(
+            ((hs >> np.uint64(16 * b)) & np.uint64(0xFFFF))
+            .astype(np.int64), pa.int64())
+    return pa.table(cols, schema=SIMHASH_SCHEMA)
+
+
 def simhash_signatures(sf_dir: str):
     """documents -> (doc_id, simhash, band0..band3): 64-bit SimHash with
     4x16-bit bands for candidate bucketing (hamming<=3 guarantee)."""
-
-    def sh(batch: pa.Table) -> pa.Table:
-        hs = np.array([simhash64(word_ngram_hashes(t, n=1))
-                       for t in batch.column("text").to_pylist()],
-                      dtype=np.uint64)
-        cols = {"doc_id": batch.column("doc_id").cast(pa.int64()),
-                "simhash": pa.array(hs.astype(np.int64), pa.int64())}
-        for b in range(4):
-            cols[f"band{b}"] = pa.array(
-                ((hs >> np.uint64(16 * b)) & np.uint64(0xFFFF))
-                .astype(np.int64), pa.int64())
-        return pa.table(cols, schema=SIMHASH_SCHEMA)
-
-    return _read_docs(sf_dir).map_batches(sh, batch_format="pyarrow",
-                                          batch_size=256)
+    return _read_docs(sf_dir).map_batches(
+        _simhash_sig_batch, batch_format="pyarrow", batch_size=256)
 
 
 def _explode_simhash_bands(t: pa.Table, groups: int) -> pa.Table:
@@ -554,7 +569,7 @@ def ngram_jaccard_verify(sf_dir: str, threshold: float = 0.3) -> pa.Table:
     docs broadcast once instead (same rationale as estimate_pairs:
     three ~2 s hash-join spin-ups for <= 8192 pairs)."""
     cand = minhash_candidate_pairs(sf_dir, threshold=0.2)
-    cand = _materialize_nonempty(cand.select_columns(["doc_a", "doc_b"]))
+    cand = materialize_nonempty(cand.select_columns(["doc_a", "doc_b"]))
     n_pairs = cand.count()
     if n_pairs == 0:
         return pa.table({"doc_a": pa.array([], pa.int64()),
@@ -571,12 +586,12 @@ def ngram_jaccard_verify(sf_dir: str, threshold: float = 0.3) -> pa.Table:
         ids, "left_semi", join_partitions(),
         on=("doc_id",), right_on=("need_id",))
 
-    grams = _materialize_nonempty(need_docs.map_batches(
+    grams = materialize_nonempty(need_docs.map_batches(
         _grams_of, batch_format="pyarrow"))
     j1 = cand.join(grams, "inner", join_partitions(),
                    on=("doc_a",), right_on=("doc_id",))
-    # one join per streaming execution (see minhash_candidate_pairs)
-    j1 = _materialize_nonempty(j1.map_batches(
+    # one join per streaming execution (see _distinct_pairs)
+    j1 = materialize_nonempty(j1.map_batches(
         lambda t: pa.table({"doc_a": t.column("doc_a"),
                             "doc_b": t.column("doc_b"),
                             "grams_a": t.column("grams")}),
@@ -715,19 +730,25 @@ class EmbeddingBucketStage:
              for tb in range(self.tables)], axis=1)  # (n, tables)
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        emb = t.column("embedding")
-        bucket = self.bucket_matrix(t)
-        n = t.num_rows
-        tab = np.tile(np.arange(self.tables, dtype=np.int32), n)
-        key = bucket.reshape(-1).astype(np.int64)
-        take_idx = np.repeat(np.arange(n), self.tables)
-        return pa.table({
-            "grp": pa.array(salt_bucket(tab, key, self.groups), pa.int32()),
-            "tbl": pa.array(tab, pa.int32()),
-            "bucket": pa.array(key, pa.int64()),
-            "vec_id": t.column("vec_id").take(pa.array(take_idx)),
-            "embedding": emb.combine_chunks().take(pa.array(take_idx)),
-        })
+        return _explode_cells(t.column("vec_id"), self.bucket_matrix(t),
+                              t.column("embedding"), self.groups)
+
+
+def _explode_cells(ids, bucket: np.ndarray, emb, groups: int) -> pa.Table:
+    """(n,) ids + (n, tables) bucket matrix + (n,) embeddings -> salted
+    (grp, tbl, bucket, vec_id, embedding) cell rows, one per (vector,
+    table); the embedding rides along for the in-cell cosine."""
+    n, tables = bucket.shape
+    tab = np.tile(np.arange(tables, dtype=np.int32), n)
+    key = bucket.reshape(-1).astype(np.int64)
+    take_idx = pa.array(np.repeat(np.arange(n), tables))
+    return pa.table({
+        "grp": pa.array(salt_bucket(tab, key, groups), pa.int32()),
+        "tbl": pa.array(tab, pa.int32()),
+        "bucket": pa.array(key, pa.int64()),
+        "vec_id": ids.take(take_idx),
+        "embedding": emb.combine_chunks().take(take_idx),
+    })
 
 
 def _bucketize_batch(t: pa.Table, tables: int, bits: int,
@@ -793,14 +814,7 @@ def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.35,
     pair_ds = buckets.groupby("grp").map_groups(
         functools.partial(_embedding_cell_pairs, threshold=threshold),
         batch_format="pandas")
-    # one pair can collide in several tables => bucketed max over the
-    # corpus-cardinality pair key; bucket count = the data-sized cell
-    # group count the pairs fell out of
-    return bucketed_group_agg(
-        pair_ds, ["doc_a", "doc_b"],
-        lambda g: g.groupby(["doc_a", "doc_b"], as_index=False)
-        ["cosine"].max(),
-        buckets=_groups(groups))
+    return _max_cosine_pairs(pair_ds, _groups(groups))
 
 
 def simhash_dedup_clusters(sf_dir: str, max_hamming: int = 3,
@@ -811,24 +825,27 @@ def simhash_dedup_clusters(sf_dir: str, max_hamming: int = 3,
     broadcast union-find below the counted edge gate, distributed
     min-label propagation above it). cluster_id = min doc_id in the
     Hamming-<=``max_hamming`` component."""
-    edges = _materialize_nonempty(_edges_of(
-        simhash_near_dup_pairs(sf_dir, max_hamming)))
-    ids = _read_docs(sf_dir).select_columns(["doc_id"])
-    return label_propagation(edges, ids, max_rounds)
+    return _clusters_of(simhash_near_dup_pairs(sf_dir, max_hamming),
+                        sf_dir, max_rounds)
 
 
-def minhash_dedup_keep(sf_dir: str, threshold: float = 0.5):
-    """The end-to-end near-dedup: doc_ids that SURVIVE MinHash-LSH
-    dedup (one keeper — the min doc_id — per connected near-dup
-    cluster). A narrow filter over the cluster labels; no text moves."""
+def _keepers(clusters):
+    """(doc_id, cluster_id) -> (doc_id) of each cluster's keeper, the
+    document whose id is the cluster label."""
     import pyarrow.compute as pc
-    clusters = minhash_dedup_clusters(sf_dir, threshold)
 
     def keepers(t: pa.Table) -> pa.Table:
         keep = pc.equal(t.column("doc_id"), t.column("cluster_id"))
         return t.filter(keep).select(["doc_id"])
 
     return clusters.map_batches(keepers, batch_format="pyarrow")
+
+
+def minhash_dedup_keep(sf_dir: str, threshold: float = 0.5):
+    """The end-to-end near-dedup: doc_ids that SURVIVE MinHash-LSH
+    dedup (one keeper — the min doc_id — per connected near-dup
+    cluster). A narrow filter over the cluster labels; no text moves."""
+    return _keepers(minhash_dedup_clusters(sf_dir, threshold))
 
 
 QUERIES = {

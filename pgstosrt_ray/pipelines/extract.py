@@ -2,13 +2,19 @@
 
     read_parquet(pages)                      [S1-S7: pruned columns,
        |                                      optional lang pushdown]
-    map_batches(demux_batch)                 [M1-M8: stateless tasks]
-       |
-    map_batches(ExtractorEngine, actors)     [M9-M16 + O1: warm pool,
-       |                                      decode fused with OCR]
-    groupby("url").map_groups(assemble)      [the ONE shuffle: D2 merge,
+    map_batches(demux)                       [M1-M8: stateless tasks;
+       |                                      with skew_block_bytes set,
+       |                                      byte-bounded cue blocks]
+    map_batches(extract)                     [M9-M16: decode fused with
+       |                                      OCR; "tasks" mode (default)
+       |                                      = per-process warm engine,
+       |                                      "actors" = O1 warm pool]
+    map_batches(add_bucket)                  [_bucket = sha1(url) % B,
+       |                                      B from reduce.buckets_for]
+    groupby("_bucket").map_groups(assemble)  [the ONE shuffle: D2 merge,
        |                                      fill, A2-A3, R1, F3]
-    docs (url, text, n_cues)                 [S8 sink via write_parquet]
+    docs (url, text, n_cues)                 [S8 sink: the checkpoint
+                                              units, state/checkpoint]
 
 Never calls ray.init(); callers own the session (driver contract).
 """
@@ -142,7 +148,7 @@ def extract_docs(pages_ds, cfg: PipelineConfig = DEFAULT_CONFIG,
     # then moves small-int keys and per-group overhead is paid per
     # bucket (B groups) instead of per url (millions at scale); the
     # same sha1(url) keying the checkpoint sink uses (state/checkpoint)
-    from ..state.checkpoint import partition_of
+    from ..state.checkpoint import partition_ids
     from .reduce import buckets_for
     # each assembly bucket arrives as one frame => data-sized count
     # (cfg.assemble_buckets is the parallelism floor; the shuffled
@@ -150,15 +156,8 @@ def extract_docs(pages_ds, cfg: PipelineConfig = DEFAULT_CONFIG,
     n_buckets = buckets_for(est_bytes, floor=cfg.assemble_buckets)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        # hash each UNIQUE url once (spans carry many rows per url),
-        # then gather — cuts the per-row sha1 loop by the cues/url ratio
-        import pandas as pd
-        codes, uniques = pd.factorize(batch.column("url").to_pandas())
-        per_unique = np.fromiter(
-            (partition_of(u, n_buckets) for u in uniques),
-            dtype=np.int32, count=len(uniques))
-        return batch.append_column(
-            "_bucket", pa.array(per_unique[codes], pa.int32()))
+        return batch.append_column("_bucket", pa.array(
+            partition_ids(batch.column("url"), n_buckets), pa.int32()))
 
     assemble = functools.partial(assemble_bucket,
                                  skip_merge=cfg.skip_merge,

@@ -46,8 +46,6 @@ def main(argv: list[str] | None = None) -> int:
                         "= '+'-join of all available (TesseractData.cs:18-45)")
     p.add_argument("--partitions", type=int, default=16)
     p.add_argument("--num-cpus", type=int, default=None)
-    p.add_argument("--extract-concurrency", type=int, default=None,
-                   help="extractor actor pool size (default: cpus-2)")
     p.add_argument("--mode", choices=["extract", "dedup"],
                    default="extract",
                    help="extract: checkpointed extraction over a page "
@@ -79,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         from .config import PipelineConfig
         from .state.checkpoint import run_checkpointed
 
-        ncpu = args.num_cpus or 8
         cfg = PipelineConfig(
             skip_merge=args.skip_merge,
             force_merge_all=args.force_merge_all,
@@ -87,8 +84,6 @@ def main(argv: list[str] | None = None) -> int:
             ocr_language=args.tesseractlanguage,
             tessdata_dir=args.tessdata,
             num_partitions=args.partitions,
-            extract_concurrency=args.extract_concurrency
-            or max(2, ncpu - 2),
         )
         if args.tessdata is not None:
             # fail fast on the driver with the reference's error message

@@ -101,14 +101,3 @@ def assemble_bucket(group: pa.Table, *, skip_merge: bool = False,
         {"url": out_url, "text": out_text, "n_cues": out_n},
         schema=DOCS_SCHEMA)
 
-
-def assemble_url_group(group: pa.Table, *, skip_merge: bool = False,
-                       force_merge_all: bool = False) -> pa.Table:
-    """One url's spans -> one (url, text, n_cues) row (single-group
-    convenience used by tests; same code path as assemble_bucket)."""
-    c = {name: group.column(name).to_pylist() for name in _COLS}
-    text, n_cues = _assemble_one_url(c, 0, group.num_rows, skip_merge,
-                                     force_merge_all)
-    return pa.Table.from_pydict(
-        {"url": [c["url"][0]], "text": [text], "n_cues": [n_cues]},
-        schema=DOCS_SCHEMA)

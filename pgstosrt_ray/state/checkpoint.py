@@ -28,9 +28,12 @@ The primitive has three parts:
 
 Five families use it:
 
-- extract (``run_checkpointed`` below): unit = sha1(url) % P, the same
-  key as the assembly groupby, so every url lands in one unit; the
-  guard records the output-shaping config fields and the input files;
+- extract (``run_checkpointed`` below): unit = sha1(url) % P
+  (P = ``num_partitions``), so every url lands in one unit. The
+  assembly shuffle hashes the same sha1(url) but modulo its own
+  data-sized bucket count B (``reduce.buckets_for``), so a unit
+  gathers rows from several assembly buckets. The guard records the
+  output-shaping config fields and the input files;
 - minhash, simhash, embedding (``state/dedup_checkpoint.py``):
   ``sigs/`` units are sha1(doc_id) % parts, ``pairs/`` units are salted
   (band, key) shuffle groups, ``labels/`` holds the converged labels;
@@ -53,6 +56,17 @@ import pyarrow.parquet as pq
 def partition_of(url: str, num_partitions: int) -> int:
     return int.from_bytes(hashlib.sha1(url.encode()).digest()[:8],
                           "big") % num_partitions
+
+
+def partition_ids(urls, num_partitions: int) -> np.ndarray:
+    """``partition_of`` for a url column, as int32: each unique url is
+    hashed once, then gathered (many rows share a url)."""
+    import pandas as pd
+    codes, uniques = pd.factorize(urls.to_pandas())
+    per_unique = np.fromiter(
+        (partition_of(u, num_partitions) for u in uniques),
+        dtype=np.int32, count=len(uniques))
+    return per_unique[codes]
 
 
 def _manifest_dir(out_dir: str) -> str:
@@ -258,6 +272,7 @@ def run_checkpointed(corpus: str, out_dir: str, cfg=None,
     """
     from ..config import DEFAULT_CONFIG
     from ..pipelines.extract import extract_docs
+    from ..pipelines.reduce import input_bytes
     from ..sources.pages import read_pages
 
     cfg = cfg or DEFAULT_CONFIG
@@ -273,13 +288,7 @@ def run_checkpointed(corpus: str, out_dir: str, cfg=None,
                         if f.endswith(".parquet"))})
 
     def pids_of(batch: pa.Table):
-        # hash each unique url once, then gather (many rows share urls)
-        import pandas as pd
-        codes, uniques = pd.factorize(batch.column("url").to_pandas())
-        per_unique = np.fromiter(
-            (partition_of(u, num_parts) for u in uniques),
-            dtype=np.int32, count=len(uniques))
-        return per_unique[codes]
+        return partition_ids(batch.column("url"), num_parts)
 
     def add_pid(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -295,8 +304,8 @@ def run_checkpointed(corpus: str, out_dir: str, cfg=None,
         return table, {"content_sha256": sha.hexdigest()}
 
     pages = skip_done(read_pages(corpus, lang=cfg.lang), done, pids_of)
-    docs = extract_docs(pages, cfg).map_batches(add_pid,
-                                                batch_format="pyarrow")
+    docs = extract_docs(pages, cfg, est_bytes=input_bytes(pages_dir))
+    docs = docs.map_batches(add_pid, batch_format="pyarrow")
     m = write_units(docs, "_pid", out_dir, build, num_parts, done,
                     fail_after_parts)
     run = {"written_partitions": m["written"],

@@ -26,6 +26,11 @@ one family never resumes onto another's units.
   with missing candidates).
 - The finish leg runs from the persisted artifacts; only its label
   propagation result is cached.
+
+This module only persists, guards and wires stages: every signature,
+explode, pair kernel, pair merge, clustering and keeper step is the
+query path's own function in pipelines/dedupe.py, so a checkpointed
+run computes what the query computes by construction.
 """
 
 from __future__ import annotations
@@ -39,10 +44,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..pipelines import dedupe
 from .checkpoint import (_read_json, _write_json, completed_partitions,
                          skip_done, stage_guard, write_units)
 
 SIG_SCHEMA_VERSION = 1
+_COSINE_PAIRS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                                  ("cosine", pa.float64())])
+_PREP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("split", pa.string())])
 
 
 def _pid_of_ids(ids, parts: int):
@@ -62,8 +71,6 @@ def _checkpoint_sig_stage(sf_dir: str, sig_dir: str, sig_batch_fn,
     THE READ. ``sig_batch_fn(source_batch) -> Table`` must emit a
     ``doc_id`` column; ``read_fn(sf_dir)`` supplies the source Dataset
     (documents by default)."""
-    from ..pipelines.dedupe import _read_docs
-
     done = stage_guard(sig_dir, {"parts": parts, **stage_params})
 
     def pids(batch: pa.Table):
@@ -73,7 +80,7 @@ def _checkpoint_sig_stage(sf_dir: str, sig_dir: str, sig_batch_fn,
         t = sig_batch_fn(batch)
         return t.append_column("_pid", pa.array(pids(t), pa.int32()))
 
-    sig_ds = skip_done((read_fn or _read_docs)(sf_dir), done, pids)\
+    sig_ds = skip_done((read_fn or dedupe._read_docs)(sf_dir), done, pids)\
         .map_batches(sig_with_pid, batch_format="pyarrow", batch_size=256)
     return write_units(
         sig_ds, "_pid", sig_dir,
@@ -86,9 +93,8 @@ def checkpoint_signatures(sf_dir: str, out_dir: str, parts: int = 16,
                           fail_after: int | None = None) -> dict:
     """MinHash stage 1: persist the signature table partition-by-
     partition, skipping completed partitions at the read."""
-    from ..pipelines.dedupe import _minhash_sig_batch
     return _checkpoint_sig_stage(
-        sf_dir, os.path.join(out_dir, "sigs"), _minhash_sig_batch,
+        sf_dir, os.path.join(out_dir, "sigs"), dedupe._minhash_sig_batch,
         parts, fail_after,
         {"family": "minhash", "sig_schema_version": SIG_SCHEMA_VERSION})
 
@@ -98,23 +104,9 @@ def checkpoint_simhash_signatures(sf_dir: str, out_dir: str,
                                   fail_after: int | None = None) -> dict:
     """SimHash stage 1: persist (doc_id, simhash, band0..3) with the
     same partitioned atomic-manifest layout as MinHash."""
-    from ..pipelines import dedupe
-
-    def sig(batch: pa.Table) -> pa.Table:
-        hs = np.array(
-            [dedupe.simhash64(dedupe.word_ngram_hashes(t, n=1))
-             for t in batch.column("text").to_pylist()],
-            dtype=np.uint64)
-        cols = {"doc_id": batch.column("doc_id").cast(pa.int64()),
-                "simhash": pa.array(hs.astype(np.int64), pa.int64())}
-        for b in range(4):
-            cols[f"band{b}"] = pa.array(
-                ((hs >> np.uint64(16 * b)) & np.uint64(0xFFFF))
-                .astype(np.int64), pa.int64())
-        return pa.table(cols, schema=dedupe.SIMHASH_SCHEMA)
-
     return _checkpoint_sig_stage(
-        sf_dir, os.path.join(out_dir, "sigs"), sig, parts, fail_after,
+        sf_dir, os.path.join(out_dir, "sigs"), dedupe._simhash_sig_batch,
+        parts, fail_after,
         {"family": "simhash",
          "sig_schema_version": SIG_SCHEMA_VERSION})
 
@@ -158,11 +150,10 @@ def checkpoint_pairs(out_dir: str, groups: int = 32,
                      fail_after: int | None = None) -> dict:
     """MinHash stage 2: candidate-pair edges per salted (band, key)
     shuffle group."""
-    from ..pipelines.dedupe import _bucket_pairs, _explode_minhash_bands
     return _checkpoint_pair_stage(
         out_dir,
-        functools.partial(_explode_minhash_bands, groups=groups),
-        _bucket_pairs, groups, fail_after, {"family": "minhash"})
+        functools.partial(dedupe._explode_minhash_bands, groups=groups),
+        dedupe._bucket_pairs, groups, fail_after, {"family": "minhash"})
 
 
 def checkpoint_simhash_pairs(out_dir: str, groups: int = 32,
@@ -172,20 +163,30 @@ def checkpoint_simhash_pairs(out_dir: str, groups: int = 32,
     (band, key) group; max_hamming is part of the resume contract (a
     different threshold would permanently mark groups done with the
     wrong edge set)."""
-    from ..pipelines.dedupe import (_explode_simhash_bands,
-                                    _simhash_band_pairs)
     return _checkpoint_pair_stage(
         out_dir,
-        functools.partial(_explode_simhash_bands, groups=groups),
-        functools.partial(_simhash_band_pairs, max_hamming=max_hamming),
+        functools.partial(dedupe._explode_simhash_bands, groups=groups),
+        functools.partial(dedupe._simhash_band_pairs,
+                          max_hamming=max_hamming),
         groups, fail_after,
         {"family": "simhash", "max_hamming": max_hamming})
 
 
-def _nonempty_unit_files(unit_dir: str) -> list[str]:
+def _read_units(unit_dir: str, empty: pa.Schema):
+    """A stage's completed units read back as one Dataset, plus the
+    shuffle bucket count their on-disk bytes call for. Units without
+    rows are left out; when none has rows the Dataset is ``empty``'s
+    typed zero-row table and the count is None."""
+    import ray.data
+
+    from ..pipelines.reduce import buckets_for
     files = [os.path.join(unit_dir, f"part={k}", "data.parquet")
              for k in sorted(completed_partitions(unit_dir))]
-    return [p for p in files if pq.ParquetFile(p).metadata.num_rows]
+    files = [p for p in files if pq.ParquetFile(p).metadata.num_rows]
+    if not files:
+        return ray.data.from_arrow(empty.empty_table()), None
+    return ray.data.read_parquet(files), buckets_for(
+        est_bytes=sum(os.path.getsize(p) for p in files))
 
 
 def _labels_cached(labels_dir: str, params: dict, build_fn):
@@ -217,19 +218,20 @@ def _labels_cached(labels_dir: str, params: dict, build_fn):
     return labels
 
 
-def _keepers_of(labels):
-    import pyarrow.compute as pc
+def _cluster_labels(sf_dir: str, out_dir: str, params: dict, verify):
+    """Finish leg shared by MinHash and SimHash: the persisted pair
+    units -> ``verify(pairs, buckets)`` (the distinct verified pairs)
+    -> (doc_id, cluster_id), cached under ``labels/`` with ``params``
+    as its guard. With no persisted pair every document is its own
+    cluster."""
+    def build():
+        pairs, buckets = _read_units(os.path.join(out_dir, "pairs"),
+                                     dedupe.PAIRS_SCHEMA)
+        if buckets is not None:
+            pairs = verify(pairs, buckets)
+        return dedupe._clusters_of(pairs, sf_dir)
 
-    def keepers(t: pa.Table) -> pa.Table:
-        keep = pc.equal(t.column("doc_id"), t.column("cluster_id"))
-        return t.filter(keep).select(["doc_id"])
-
-    return labels.map_batches(keepers, batch_format="pyarrow")
-
-
-def _emb_tables() -> int:
-    from ..pipelines.dedupe import EMB_TABLES
-    return EMB_TABLES
+    return _labels_cached(os.path.join(out_dir, "labels"), params, build)
 
 
 def _read_embeddings_as_docs(sf_dir: str):
@@ -252,8 +254,6 @@ def checkpoint_embedding_signatures(sf_dir: str, out_dir: str,
     (doc_id, embedding, b0..b5 hyperplane buckets) — instead of the
     pipeline's 6x-exploded band rows (6x less checkpoint storage; the
     explode is recomputed cheaply at stage 2)."""
-    from ..pipelines import dedupe
-
     def sig(batch: pa.Table) -> pa.Table:
         stage = dedupe.EmbeddingBucketStage(groups=1)
         bucket = stage.bucket_matrix(batch)
@@ -265,7 +265,7 @@ def checkpoint_embedding_signatures(sf_dir: str, out_dir: str,
 
     return _checkpoint_sig_stage(
         sf_dir, os.path.join(out_dir, "sigs"), sig, parts, fail_after,
-        {"family": "embedding", "tables": _emb_tables(),
+        {"family": "embedding", "tables": dedupe.EMB_TABLES,
          "sig_schema_version": SIG_SCHEMA_VERSION},
         read_fn=_read_embeddings_as_docs)
 
@@ -276,26 +276,11 @@ def checkpoint_embedding_pairs(out_dir: str, groups: int = 32,
     """Embedding-LSH stage 2: cosine-verified pairs per salted
     (table, bucket) cell group from the persisted signatures;
     threshold is part of the resume contract."""
-    from ..pipelines import dedupe
-
-    n_tables = _emb_tables()
-
     def explode(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        tab = np.tile(np.arange(n_tables, dtype=np.int32), n)
-        key = np.empty(n_tables * n, dtype=np.int64)
-        for tb in range(n_tables):
-            key[tb::n_tables] = t.column(f"b{tb}").to_numpy()
-        take = pa.array(np.repeat(np.arange(n), n_tables))
-        return pa.table({
-            "grp": pa.array(dedupe.salt_bucket(tab, key, groups),
-                            pa.int32()),
-            "tbl": pa.array(tab, pa.int32()),
-            "bucket": pa.array(key, pa.int64()),
-            "vec_id": t.column("doc_id").take(take),
-            "embedding": t.column("embedding").combine_chunks()
-            .take(take),
-        })
+        bucket = np.stack([t.column(f"b{tb}").to_numpy()
+                           for tb in range(dedupe.EMB_TABLES)], axis=1)
+        return dedupe._explode_cells(t.column("doc_id"), bucket,
+                                     t.column("embedding"), groups)
 
     return _checkpoint_pair_stage(
         out_dir, explode,
@@ -308,22 +293,11 @@ def finish_embedding_pairs(out_dir: str):
     """Finish leg: the persisted cell pairs dedup to one (doc_a,
     doc_b, max cosine) row per pair (a pair can collide in several
     tables). Cheap relative to stage 2; rebuilt each run."""
-    import ray.data
-
-    from ..pipelines.dedupe import bucketed_group_agg
-    from ..pipelines.reduce import buckets_for
-    nonempty = _nonempty_unit_files(os.path.join(out_dir, "pairs"))
-    if not nonempty:
-        return ray.data.from_arrow(pa.table(
-            {"doc_a": pa.array([], pa.int64()),
-             "doc_b": pa.array([], pa.int64()),
-             "cosine": pa.array([], pa.float64())}))
-    return bucketed_group_agg(
-        ray.data.read_parquet(nonempty), ["doc_a", "doc_b"],
-        lambda g: g.groupby(["doc_a", "doc_b"], as_index=False)
-        ["cosine"].max(),
-        buckets=buckets_for(est_bytes=sum(
-            os.path.getsize(p) for p in nonempty)))
+    pairs, buckets = _read_units(os.path.join(out_dir, "pairs"),
+                                 _COSINE_PAIRS_SCHEMA)
+    if buckets is None:
+        return pairs
+    return dedupe._max_cosine_pairs(pairs, buckets)
 
 
 def run_checkpointed_embedding_near_dup(
@@ -355,15 +329,12 @@ def run_checkpointed_prep_corpus(sf_dir: str, out_dir: str,
     the narrow normalize/gate scan recomputes (it is what derives the
     bucket id), exactly like the pair stages recompute their explode.
     Returns ((doc_id, split) Dataset, metrics)."""
-    import ray.data
-
-    from ..pipelines.dedupe import _read_docs
     from ..pipelines.extended import prep_keep_first, prep_stage1
 
     pdir = os.path.join(out_dir, "prep")
     done = stage_guard(pdir, {"family": "prep_corpus", "buckets": buckets})
     tagged = skip_done(
-        _read_docs(sf_dir).map_batches(
+        dedupe._read_docs(sf_dir).map_batches(
             functools.partial(prep_stage1, B=buckets),
             batch_format="pandas"),
         done, lambda t: t.column("_b").to_numpy())
@@ -373,12 +344,7 @@ def run_checkpointed_prep_corpus(sf_dir: str, out_dir: str,
                                         preserve_index=False),
                    {"stage": "prep_corpus", "n_input_rows": len(g)}),
         buckets, done, fail_after, batch_format="pandas")
-    nonempty = _nonempty_unit_files(pdir)
-    if not nonempty:
-        empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "split": pa.array([], pa.string())})
-        return ray.data.from_arrow(empty), metrics
-    return ray.data.read_parquet(nonempty), metrics
+    return _read_units(pdir, _PREP_SCHEMA)[0], metrics
 
 
 def finish_dedup_keep(sf_dir: str, out_dir: str,
@@ -388,31 +354,15 @@ def finish_dedup_keep(sf_dir: str, out_dir: str,
     surviving doc_ids. Returns a Dataset."""
     import ray.data
 
-    from ..pipelines import dedupe
-
-    def build():
+    def verified(pairs, buckets: int):
         sigs = ray.data.read_parquet(os.path.join(out_dir, "sigs"))
         sigs = sigs.select_columns(["doc_id", "sig"]).materialize()
-        nonempty = _nonempty_unit_files(os.path.join(out_dir, "pairs"))
-        ids = dedupe._read_docs(sf_dir).select_columns(["doc_id"])
-        if not nonempty:
-            return ids.map_batches(
-                lambda t: pa.table({"doc_id": t.column("doc_id"),
-                                    "cluster_id": t.column("doc_id")}),
-                batch_format="pyarrow")
-        from ..pipelines.reduce import buckets_for
-        cand = dedupe._materialize_nonempty(dedupe._distinct_pairs(
-            ray.data.read_parquet(nonempty),
-            buckets=buckets_for(est_bytes=sum(
-                os.path.getsize(p) for p in nonempty))))
-        verified = dedupe.estimate_pairs(cand, sigs, threshold)
-        edges = dedupe._materialize_nonempty(dedupe._edges_of(verified))
-        return dedupe.label_propagation(edges, ids)
+        return dedupe.estimate_pairs(
+            dedupe._distinct_pairs(pairs, buckets), sigs, threshold)
 
-    labels = _labels_cached(os.path.join(out_dir, "labels"),
-                            {"family": "minhash", "threshold": threshold},
-                            build)
-    return _keepers_of(labels)
+    return dedupe._keepers(_cluster_labels(
+        sf_dir, out_dir, {"family": "minhash", "threshold": threshold},
+        verified))
 
 
 def finish_simhash_clusters(sf_dir: str, out_dir: str,
@@ -421,32 +371,10 @@ def finish_simhash_clusters(sf_dir: str, out_dir: str,
     already Hamming-verified edges, so the leg is one bucketed
     (doc_a, doc_b) dedup + label propagation. Returns the full
     (doc_id, cluster_id) Dataset (mirrors dedupe.simhash_dedup_clusters)."""
-    import ray.data
-
-    from ..pipelines import dedupe
-
-    def build():
-        nonempty = _nonempty_unit_files(os.path.join(out_dir, "pairs"))
-        ids = dedupe._read_docs(sf_dir).select_columns(["doc_id"])
-        if not nonempty:
-            return ids.map_batches(
-                lambda t: pa.table({"doc_id": t.column("doc_id"),
-                                    "cluster_id": t.column("doc_id")}),
-                batch_format="pyarrow")
-        from ..pipelines.reduce import buckets_for
-        pair_ds = ray.data.read_parquet(nonempty).map_batches(
-            lambda t: t.select(["doc_a", "doc_b"]),
-            batch_format="pyarrow")
-        cand = dedupe._materialize_nonempty(dedupe._distinct_pairs(
-            pair_ds,
-            buckets=buckets_for(est_bytes=sum(
-                os.path.getsize(p) for p in nonempty))))
-        edges = dedupe._materialize_nonempty(dedupe._edges_of(cand))
-        return dedupe.label_propagation(edges, ids)
-
-    return _labels_cached(os.path.join(out_dir, "labels"),
-                          {"family": "simhash",
-                           "max_hamming": max_hamming}, build)
+    return _cluster_labels(
+        sf_dir, out_dir, {"family": "simhash", "max_hamming": max_hamming},
+        lambda pairs, buckets: dedupe._distinct_pairs(
+            pairs.select_columns(["doc_a", "doc_b"]), buckets))
 
 
 def run_checkpointed_simhash(sf_dir: str, out_dir: str,

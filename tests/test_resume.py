@@ -140,3 +140,24 @@ def test_run_manifest_has_stage_metrics(ray_session, small_dir, tmp_path):
     # the extract stage must be among the reported stages
     assert any("xtract" in st["stage"] or "MapBatches" in st["stage"]
                for st in stages)
+
+
+def test_assembly_buckets_sized_from_input(ray_session, small_dir,
+                                           tmp_path, monkeypatch):
+    """The checkpointed run sizes its assembly shuffle from the input
+    bytes, as extract_corpus_docs does, not from the bucket floor."""
+    import os
+
+    from pgstosrt_ray.pipelines import reduce
+    seen = []
+    real = reduce.buckets_for
+
+    def spy(est_bytes=None, **kw):
+        seen.append(est_bytes)
+        return real(est_bytes, **kw)
+
+    monkeypatch.setattr(reduce, "buckets_for", spy)
+    run_checkpointed(small_dir, str(tmp_path / "out"), _cfg())
+    want = reduce.input_bytes(os.path.join(small_dir, "pages"))
+    assert want > 0
+    assert seen == [want]

@@ -72,6 +72,20 @@ def test_token_rows_blank_rows_mid_batch():
     assert tok.to_pylist() == ["a", "b", "c"]
 
 
+def test_token_rows_ignores_bytes_past_the_last_text():
+    """Bytes after the last text in the data buffer are not part of it:
+    invalid UTF-8 there (unset padding) must not change its tokens."""
+    texts = ["b ", "a\r"]
+    offsets = np.array([0, 2, 4], np.int32).tobytes()
+    for tail in (b"\x80", b"\xc2", b"\xe2\x80", b"\xff"):
+        col = pa.StringArray.from_buffers(
+            2, pa.py_buffer(offsets),
+            pa.py_buffer("".join(texts).encode() + tail))
+        row, tok = token_rows(col)
+        assert row.tolist() == [0, 1]
+        assert tok.to_pylist() == ["b", "a"]
+
+
 # --- the \S+ queries against their oracles -------------------------------
 def _result_table(result) -> pa.Table | None:
     """All blocks of a query answer as one table; None when no block
