@@ -35,8 +35,8 @@ import pyarrow as pa
 from ..functions.dedup import (MinHasher, char_shingle_hashes,
                                lsh_band_keys_matrix, popcount64, salt_bucket,
                                simhash64, word_ngram_hashes)
-from .reduce import (bucketed_group_agg, join_partitions, materialize_nonempty,
-                     shuffle_groups)
+from .reduce import (bucketed_group_agg, input_bytes, join_sizing,
+                     materialize_nonempty, shuffle_groups)
 
 NUM_PERM = 128
 BANDS = 16
@@ -238,14 +238,17 @@ def estimate_pairs(cand, sigs, threshold: float):
     n_pairs = cand.count()
     if n_pairs <= BROADCAST_PAIRS_LIMIT:
         return _estimate_pairs_broadcast(cand, sigs, threshold, n_pairs)
-    with_a = cand.join(sigs, "inner", join_partitions(),
+    with_a = cand.join(sigs, "inner",
+                       **join_sizing(cand.size_bytes() + sigs.size_bytes()),
                        on=("doc_a",), right_on=("doc_id",))
     with_a = materialize_nonempty(with_a.map_batches(
         lambda t: pa.table({"doc_a": t.column("doc_a"),
                             "doc_b": t.column("doc_b"),
                             "sig_a": t.column("sig")}),
         batch_format="pyarrow"))
-    with_b = with_a.join(sigs, "inner", join_partitions(),
+    with_b = with_a.join(sigs, "inner",
+                         **join_sizing(with_a.size_bytes()
+                                       + sigs.size_bytes()),
                          on=("doc_b",), right_on=("doc_id",))
 
     def estimate(t: pa.Table) -> pa.Table:
@@ -418,7 +421,9 @@ def label_propagation(edges, ids, max_rounds: int = 25):
     converged = False
     prev_sum = labels.sum("lbl")
     for _ in range(max_rounds):
-        prop = edges.join(labels, "inner", join_partitions(),
+        prop = edges.join(labels, "inner",
+                          **join_sizing(edges.size_bytes()
+                                        + labels.size_bytes()),
                           on=("node",), right_on=("lnode",))
         prop = prop.map_batches(
             lambda t: pa.table({"lnode": t.column("nbr"),
@@ -441,7 +446,10 @@ def label_propagation(edges, ids, max_rounds: int = 25):
             f"minhash_dedup_clusters: label propagation did not converge "
             f"within {max_rounds} rounds (a near-dup cluster has diameter "
             f"> {max_rounds}); raise max_rounds")
-    out = ids.join(labels, "left_outer", join_partitions(),
+    # ids-only, so materializing sizes the join from block metadata
+    ids = materialize_nonempty(ids)
+    out = ids.join(labels, "left_outer",
+                   **join_sizing(ids.size_bytes() + labels.size_bytes()),
                    on=("doc_id",), right_on=("lnode",))
 
     def finish(t: pa.Table) -> pa.Table:
@@ -583,12 +591,15 @@ def ngram_jaccard_verify(sf_dir: str, threshold: float = 0.3) -> pa.Table:
              t.column("doc_b").combine_chunks()])}),
         batch_format="pyarrow")
     need_docs = _read_docs(sf_dir).join(
-        ids, "left_semi", join_partitions(),
+        ids, "left_semi",
+        **join_sizing(input_bytes(f"{sf_dir}/documents.parquet")
+                      + cand.size_bytes()),
         on=("doc_id",), right_on=("need_id",))
 
     grams = materialize_nonempty(need_docs.map_batches(
         _grams_of, batch_format="pyarrow"))
-    j1 = cand.join(grams, "inner", join_partitions(),
+    j1 = cand.join(grams, "inner",
+                   **join_sizing(cand.size_bytes() + grams.size_bytes()),
                    on=("doc_a",), right_on=("doc_id",))
     # one join per streaming execution (see _distinct_pairs)
     j1 = materialize_nonempty(j1.map_batches(
@@ -596,7 +607,8 @@ def ngram_jaccard_verify(sf_dir: str, threshold: float = 0.3) -> pa.Table:
                             "doc_b": t.column("doc_b"),
                             "grams_a": t.column("grams")}),
         batch_format="pyarrow"))
-    j2 = j1.join(grams, "inner", join_partitions(),
+    j2 = j1.join(grams, "inner",
+                 **join_sizing(j1.size_bytes() + grams.size_bytes()),
                  on=("doc_b",), right_on=("doc_id",))
 
     return j2.map_batches(lambda t: _pair_jaccard(t, threshold),

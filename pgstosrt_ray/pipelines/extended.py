@@ -7,8 +7,8 @@ identical column names/types.
 
 Scale notes are inline; the shared rules: pruned reads, partial
 aggregation before every shuffle, per-key work bucketed on
-hash(key) % B (never raw high-cardinality keys), joins via
-``join_partitions()``.
+hash(key) % B (never raw high-cardinality keys), joins sized by
+``join_sizing()``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 
 from ..functions.text import token_rows
 from .reduce import (bucketed_group_agg, buckets_for, input_bytes,
-                     join_partitions, materialize_nonempty, parquet_rows)
+                     join_sizing, materialize_nonempty, parquet_rows)
 
 
 def _read(sf_dir: str, table: str, columns=None, **kw):
@@ -44,7 +44,9 @@ def q_left_outer_join(sf_dir: str):
         lambda g: g.groupby("o_custkey", as_index=False)
         .agg(n=("o_custkey", "count")),
         est_bytes=input_bytes(f"{sf_dir}/orders.parquet")))
-    j = cust.join(counts, "left_outer", join_partitions(),
+    j = cust.join(counts, "left_outer",
+                  **join_sizing(input_bytes(f"{sf_dir}/customer.parquet")
+                                + counts.size_bytes()),
                   on=("c_custkey",), right_on=("o_custkey",))
 
     def finish(t: pa.Table) -> pa.Table:
@@ -74,7 +76,8 @@ def q_full_outer_join(sf_dir: str):
     supp = materialize_nonempty(
         _read(sf_dir, "supplier", columns=["s_nationkey"])
         .groupby("s_nationkey").aggregate(Count(alias_name="n_supp")))
-    j = cust.join(supp, "full_outer", join_partitions(),
+    j = cust.join(supp, "full_outer",
+                  **join_sizing(cust.size_bytes() + supp.size_bytes()),
                   on=("c_nationkey",), right_on=("s_nationkey",))
 
     def finish(t: pa.Table) -> pa.Table:
@@ -579,8 +582,11 @@ def q_semi_join_bloom(sf_dir: str):
     distinct_keys = materialize_nonempty(keys_ds.map_batches(
         lambda t: pa.TableGroupBy(t, "o_custkey").aggregate([]),
         batch_format="pyarrow"))
-    return survivors.join(distinct_keys, "left_semi", join_partitions(),
-                          on=("c_custkey",), right_on=("o_custkey",))
+    return survivors.join(
+        distinct_keys, "left_semi",
+        **join_sizing(input_bytes(f"{sf_dir}/customer.parquet")
+                      + distinct_keys.size_bytes()),
+        on=("c_custkey",), right_on=("o_custkey",))
 
 
 SQL_SEMI_JOIN_BLOOM = ("SELECT c_custkey, c_name FROM customer "
@@ -801,7 +807,9 @@ def q_decontaminate(sf_dir: str, n: int = CONTAM_N):
             lambda df: pa.table({"g": pa.array(df["g"], pa.string())}),
             batch_format="pandas"))
     hits = materialize_nonempty(
-        cand.join(bench_keys, "left_semi", join_partitions(), on=("g",)))
+        cand.join(bench_keys, "left_semi",
+                  **join_sizing(cand.size_bytes() + bench_keys.size_bytes()),
+                  on=("g",)))
     n_hits = hits.count()   # materialized => metadata-free
     if n_hits == 0:
         return probe_ids.map_batches(all_clean, batch_format="pyarrow")
@@ -816,7 +824,9 @@ def q_decontaminate(sf_dir: str, n: int = CONTAM_N):
             batch_format="pandas"))
     # Ray's outer join folds the right key into the left key column, so
     # matches are detected via the non-key `hit` indicator column
-    j = probe_ids.join(flagged, "left_outer", join_partitions(),
+    j = probe_ids.join(flagged, "left_outer",
+                       **join_sizing(probe_ids.size_bytes()
+                                     + flagged.size_bytes()),
                        on=("doc_id",), right_on=("hit_id",))
     return j.map_batches(
         lambda t: pa.table({
@@ -991,7 +1001,10 @@ def q_tfidf_top_term(sf_dir: str):
 
         scored = counts.map_batches(score_bcast, batch_format="pandas")
     else:
-        j = counts.join(dfreq, "inner", join_partitions(), on=("tok",))
+        j = counts.join(dfreq, "inner",
+                        **join_sizing(counts.size_bytes()
+                                      + dfreq.size_bytes()),
+                        on=("tok",))
 
         def score(df: pd.DataFrame) -> pd.DataFrame:
             s = (df["c"].to_numpy() * n_docs) / (df["tot"].to_numpy()

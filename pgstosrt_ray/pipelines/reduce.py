@@ -32,18 +32,82 @@ def cluster_cpus(default: int = 8) -> int:
     return default
 
 
+def cluster_memory() -> int | None:
+    """Ray's logical ``memory`` resource of the cluster — the pool that
+    hash-shuffle aggregators reserve from (None when Ray isn't up)."""
+    try:
+        import ray
+        if ray.is_initialized():
+            mem = ray.cluster_resources().get("memory")
+            return None if mem is None else int(mem)
+    except Exception:
+        pass
+    return None
+
+
 def join_partitions() -> int:
-    """Hash-join fan-out sized from the cluster, not a constant.
+    """CPU-derived hash-join fan-out — ``join_sizing`` lowers it only
+    where the aggregator pool would not fit cluster memory.
 
     Ray's join spawns one hash-aggregator per partition with a real
     fixed cost, so more partitions is NOT free: measured at 32 CPUs /
     sf0.1, num_partitions=32 ran the same join ~40% slower than 16
     (BASELINE.md A/B). Half the CPU count keeps aggregators saturated
     (each join moves both sides, ~2 inputs per aggregator) while
-    halving the fixed cost; scales up with the cluster for the real
-    balance point: partition count ~ data / target-partition-bytes,
-    capped below by cores."""
+    halving the fixed cost."""
     return max(8, cluster_cpus() // 2)
+
+
+def _join_reservation(num_partitions: int, partition_bytes: int) -> int:
+    """Memory Ray reserves for a join's whole aggregator pool:
+    min(N, max aggregators) actors x Ray's own per-aggregator estimate
+    (inputs in the object store, the in-heap join, the output)."""
+    from ray.data import DataContext
+    from ray.data._internal.execution.operators.join import JoinOperator
+    ctx = DataContext.get_current()
+    aggs = min(num_partitions, ctx.max_hash_shuffle_aggregators
+               or ctx.default_hash_shuffle_parallelism)
+    return aggs * JoinOperator._estimate_aggregator_memory_allocation(
+        num_aggregators=aggs, num_partitions=num_partitions,
+        partition_byte_size_estimate=partition_bytes)
+
+
+def join_sizing(est_bytes: int) -> dict:
+    """``num_partitions`` and ``partition_size_hint`` for one
+    ``Dataset.join``, sized from CPUs, cluster memory and data:
+    ``ds.join(other, how, **join_sizing(est), on=...)``.
+
+    ``est_bytes`` is a metadata-only estimate of both inputs together
+    (on-disk ``input_bytes`` of the source tables, ``size_bytes()`` of
+    a materialized side), the same kind ``buckets_for`` takes; each
+    partition is sized as its 1/N share. Without a hint Ray assumes
+    every partition is one 128 MiB block and reserves 7 x 128 MiB per
+    aggregator: 16 partitions at 32 CPUs asked for 14 GiB on a
+    10.76 GiB host, and the pool never scheduled. The hint is capped at
+    that same block size, so a join bigger than N blocks reserves what
+    Ray would by default and spills the rest.
+
+    The fan-out is ``join_partitions()`` unless the pool's reservation
+    outgrows the cluster's ``memory`` resource; then it is the largest
+    fan-out that fits. If not even one partition fits, the join is
+    refused here with both sizes, instead of an aggregator pool that
+    waits forever for memory."""
+    from ray.data import DataContext
+    block = DataContext.get_current().target_max_block_size
+    mem = cluster_memory()
+    for n in range(join_partitions(), 0, -1):
+        p = max(1, -(-int(est_bytes) // n))
+        if block:
+            p = min(p, block)
+        need = _join_reservation(n, p)
+        if mem is None or need <= mem:
+            return {"num_partitions": n, "partition_size_hint": p}
+    gib = 1 << 30
+    raise ValueError(
+        f"hash join of ~{est_bytes / gib:.2f} GiB needs {need / gib:.2f} "
+        f"GiB of Ray memory for its aggregator even at one partition, "
+        f"but the cluster has {mem / gib:.2f} GiB; give the cluster "
+        f"more memory")
 
 
 def shuffle_groups() -> int:

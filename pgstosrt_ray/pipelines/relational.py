@@ -22,7 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .reduce import (agg_fold_blobs, agg_topk, bucketed_group_agg,
-                     buckets_for, input_bytes, join_partitions,
+                     buckets_for, input_bytes, join_sizing,
                      materialize_nonempty, parquet_rows)
 
 
@@ -153,7 +153,8 @@ def q_hash_join(sf_dir: str):
     li = li.map_batches(li_cents, batch_format="pyarrow")
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus"])
     joined = li.join(orders, join_type="inner",
-                     num_partitions=join_partitions(),
+                     **join_sizing(_table_bytes(sf_dir, "lineitem")
+                                   + _table_bytes(sf_dir, "orders")),
                      on=("l_orderkey",), right_on=("o_orderkey",))
     return joined.groupby("o_orderstatus").aggregate(
         Sum("price_cents", alias_name="sum_price_cents"))
@@ -596,14 +597,15 @@ def q_exact_dedup_keep(sf_dir: str):
                 .drop_duplicates("fp", keep="first")[["doc_id"]]
                 .reset_index(drop=True))
 
-    from .reduce import materialize_nonempty
     keepers = materialize_nonempty(bucketed_group_agg(
         ds.map_batches(fp, batch_format="pandas"), ["fp"], keep_first,
         est_bytes=48 * parquet_rows(f"{sf_dir}/documents.parquet")))
     src = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return src.join(keepers.map_batches(
         lambda t: t.rename_columns(["keep_id"]), batch_format="pyarrow"),
-        "left_semi", join_partitions(),
+        "left_semi",
+        **join_sizing(_table_bytes(sf_dir, "documents")
+                      + keepers.size_bytes()),
         on=("doc_id",), right_on=("keep_id",))
 
 
@@ -623,7 +625,9 @@ def q_semi_join(sf_dir: str):
     keys = _read(sf_dir, "orders", columns=["o_custkey"]).map_batches(
         lambda t: pa.TableGroupBy(t, "o_custkey").aggregate([]),
         batch_format="pyarrow")
-    return ds.join(keys, "left_semi", join_partitions(),
+    return ds.join(keys, "left_semi",
+                   **join_sizing(_table_bytes(sf_dir, "customer")
+                                 + _table_bytes(sf_dir, "orders")),
                    on=("c_custkey",), right_on=("o_custkey",))
 
 SQL_SEMI_JOIN = ("SELECT c_custkey, c_name FROM customer "
@@ -636,7 +640,9 @@ def q_anti_join(sf_dir: str):
     keys = _read(sf_dir, "lineitem", columns=["l_orderkey"]).map_batches(
         lambda t: pa.TableGroupBy(t, "l_orderkey").aggregate([]),
         batch_format="pyarrow")
-    return ds.join(keys, "left_anti", join_partitions(),
+    return ds.join(keys, "left_anti",
+                   **join_sizing(_table_bytes(sf_dir, "orders")
+                                 + _table_bytes(sf_dir, "lineitem")),
                    on=("o_orderkey",), right_on=("l_orderkey",))
 
 SQL_ANTI_JOIN = ("SELECT o_orderkey, o_orderstatus FROM orders "

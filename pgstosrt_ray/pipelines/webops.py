@@ -20,7 +20,7 @@ import pyarrow.compute as pc
 
 from ..functions.text import md5_bucket_of_ids, sha1_u64, token_rows
 from .reduce import (agg_fold_blobs, agg_group_topk, bucketed_group_agg,
-                     input_bytes, materialize_nonempty)
+                     input_bytes, join_sizing, materialize_nonempty)
 
 
 def _read(sf_dir: str, table: str, columns=None, **kw):
@@ -816,7 +816,6 @@ def _nll_rows(doc_ids, toks, cs, logp, all_docs) -> pd.DataFrame:
 
 def q_unigram_logprob(sf_dir: str):
     import ray
-    from .reduce import join_partitions
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     docs_bytes = _table_bytes(sf_dir, "documents")
     counts = materialize_nonempty(
@@ -864,8 +863,9 @@ def q_unigram_logprob(sf_dir: str):
                     .map_batches(lambda t: t.select(["tok", "lp"])
                                  .rename_columns(["mtok", "lp"]),
                                  batch_format="pyarrow"),
-                    "inner", join_partitions(), on=("tok",),
-                    right_on=("mtok",))
+                    "inner",
+                    **join_sizing(counts.size_bytes() + model.size_bytes()),
+                    on=("tok",), right_on=("mtok",))
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         return _nll_rows(g["doc_id"].to_numpy(), g["tok"],
@@ -874,8 +874,10 @@ def q_unigram_logprob(sf_dir: str):
     scored = bucketed_group_agg(j, ["doc_id"], per_doc,
                                 est_bytes=docs_bytes)
     ids = ds.select_columns(["doc_id"])
-    out = ids.join(materialize_nonempty(scored), "left_outer",
-                   join_partitions(), on=("doc_id",))
+    scored = materialize_nonempty(scored)
+    out = ids.join(scored, "left_outer",
+                   **join_sizing(docs_bytes + scored.size_bytes()),
+                   on=("doc_id",))
 
     def fill(t: pa.Table) -> pa.Table:
         z64 = pa.scalar(0, pa.int64())
@@ -1014,7 +1016,7 @@ def q_bigram_pmi(sf_dir: str, k: int = PMI_TOP_K,
     ((n_ab*T1)*T1)/((T2*n_a)*n_b) — exact-int counts, one division."""
     import ray
 
-    from .reduce import agg_topk, join_partitions
+    from .reduce import agg_topk
     ds = _read(sf_dir, "documents", columns=["text"])
     docs_bytes = _table_bytes(sf_dir, "documents")
     # one scan, ONE bucketed shuffle for BOTH count families (unigram
@@ -1083,14 +1085,14 @@ def q_bigram_pmi(sf_dir: str, k: int = PMI_TOP_K,
             lambda t: t.rename_columns(["u1", "c1"]),
             batch_format="pyarrow")
         j1 = materialize_nonempty(cand.join(
-            u1, "inner", join_partitions(), on=("w1",),
-            right_on=("u1",)))
+            u1, "inner", **join_sizing(big.size_bytes() + uni.size_bytes()),
+            on=("w1",), right_on=("u1",)))
         u2 = uni.map_batches(
             lambda t: t.rename_columns(["u2", "c2"]),
             batch_format="pyarrow")
         j2 = materialize_nonempty(j1.join(
-            u2, "inner", join_partitions(), on=("w2",),
-            right_on=("u2",)))
+            u2, "inner", **join_sizing(j1.size_bytes() + uni.size_bytes()),
+            on=("w2",), right_on=("u2",)))
 
         def score_j(t: pa.Table) -> pa.Table:
             v = pmi_of(t.column("n").to_numpy(),

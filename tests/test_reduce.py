@@ -1,6 +1,8 @@
 """Unit tests for the in-cluster reduction helpers (reduce.py): the
 round-3 replacements for driver-side partial merges."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -27,6 +29,135 @@ class TestClusterSizing:
         import ray as ray_mod
         monkeypatch.setattr(ray_mod, "is_initialized", lambda: False)
         assert reduce.cluster_cpus(default=8) == 8
+
+
+GiB = 1 << 30
+# Ray's `memory` resource on a 15 GB host (~70% of RAM)
+HOST_MEMORY = int(10.76 * GiB)
+SF_DIR = "/root/testdata/sf0.001"
+
+
+def _ray_join_reservation(num_partitions, partition_size_hint):
+    """Total memory Ray 2.49 reserves for a join's aggregator pool:
+    min(N, max aggregators) x its own per-aggregator estimate, with
+    the 128 MiB block-size fallback when no hint is passed."""
+    from ray.data import DataContext
+    from ray.data._internal.execution.operators.join import JoinOperator
+    ctx = DataContext.get_current()
+    aggs = min(num_partitions, ctx.max_hash_shuffle_aggregators
+               or ctx.default_hash_shuffle_parallelism)
+    return aggs * JoinOperator._estimate_aggregator_memory_allocation(
+        num_aggregators=aggs, num_partitions=num_partitions,
+        partition_byte_size_estimate=(partition_size_hint
+                                      or ctx.target_max_block_size))
+
+
+class _JoinReached(Exception):
+    pass
+
+
+class TestJoinSizing:
+    """The hash-join fan-out and size hint come from CPUs, cluster
+    memory and data size. At 32 CPUs the CPU-only fan-out (16) with
+    Ray's 128 MiB default partition estimate reserved 16 x 896 MiB =
+    14 GiB on a 10.76 GiB cluster: the aggregators never scheduled and
+    the driver query set hung."""
+
+    @pytest.mark.skipif(not os.path.isdir(SF_DIR), reason=f"no {SF_DIR}")
+    @pytest.mark.parametrize("query", [
+        "relational.q_exact_dedup_keep", "relational.q_semi_join",
+        "extended.q_left_outer_join"])
+    def test_join_fits_memory_at_driver_parallelism(
+            self, ray_session, monkeypatch, query):
+        # a 32-CPU, 10.76 GiB cluster faked inside the 4-CPU session:
+        # the spy records the first join's arguments and stops there,
+        # so no aggregator pool is ever asked for
+        import importlib
+
+        import ray.data
+        from pgstosrt_ray.pipelines import reduce
+        monkeypatch.setattr(reduce, "cluster_cpus", lambda default=8: 32)
+        monkeypatch.setattr(reduce, "cluster_memory", lambda: HOST_MEMORY,
+                            raising=False)
+        seen = []
+
+        def spy(self, ds, join_type, num_partitions, *args,
+                partition_size_hint=None, **kw):
+            seen.append((num_partitions, partition_size_hint))
+            raise _JoinReached
+
+        monkeypatch.setattr(ray.data.Dataset, "join", spy)
+        mod, fn = query.split(".")
+        q = getattr(importlib.import_module(f"pgstosrt_ray.pipelines.{mod}"),
+                    fn)
+        with pytest.raises(_JoinReached):
+            q(SF_DIR)
+        n, hint = seen[0]
+        need = _ray_join_reservation(n, hint)
+        assert need <= HOST_MEMORY, (
+            f"{query}: {n} partitions reserve {need / GiB:.2f} GiB, "
+            f"cluster has {HOST_MEMORY / GiB:.2f} GiB")
+
+    def test_cpu_fanout_where_memory_does_not_bind(self, monkeypatch):
+        from pgstosrt_ray.pipelines import reduce
+        monkeypatch.setattr(reduce, "cluster_cpus", lambda default=8: 32)
+        monkeypatch.setattr(reduce, "cluster_memory", lambda: HOST_MEMORY)
+        args = reduce.join_sizing(468 << 10)
+        assert args["num_partitions"] == reduce.join_partitions() == 16
+        # the hint is one partition's share of the estimate
+        assert args["partition_size_hint"] == -(-(468 << 10) // 16)
+        assert _ray_join_reservation(**args) <= HOST_MEMORY
+
+    def test_fanout_capped_by_memory(self, monkeypatch):
+        # a join bigger than N blocks: the hint stops at Ray's 128 MiB
+        # block estimate, and the fan-out shrinks until 7 x 128 MiB per
+        # aggregator fits the cluster (12 x 896 MiB = 10.5 GiB)
+        from ray.data import DataContext
+        from pgstosrt_ray.pipelines import reduce
+        monkeypatch.setattr(reduce, "cluster_cpus", lambda default=8: 32)
+        monkeypatch.setattr(reduce, "cluster_memory", lambda: HOST_MEMORY)
+        block = DataContext.get_current().target_max_block_size
+        args = reduce.join_sizing(8 * GiB)
+        assert args == {"num_partitions": 12, "partition_size_hint": block}
+        assert _ray_join_reservation(**args) <= HOST_MEMORY
+        assert _ray_join_reservation(13, block) > HOST_MEMORY
+
+    def test_refuses_join_that_cannot_fit(self, monkeypatch):
+        # even one partition of a 1 GiB input outgrows a 64 MiB cluster:
+        # a loud refusal naming both sizes, not an unschedulable pool
+        from pgstosrt_ray.pipelines import reduce
+        monkeypatch.setattr(reduce, "cluster_memory", lambda: 64 << 20)
+        with pytest.raises(ValueError, match=r"GiB.*0\.06 GiB"):
+            reduce.join_sizing(1 * GiB)
+
+    def test_every_join_call_site_is_sized(self):
+        # every Dataset.join in the pipelines takes its fan-out and
+        # size hint from join_sizing, never a bare partition count
+        import ast
+        import glob
+        pipelines = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "pgstosrt_ray", "pipelines")
+        sites, bad = 0, []
+        for path in sorted(glob.glob(os.path.join(pipelines, "*.py"))):
+            with open(path) as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "join"
+                        and any(k.arg == "on" for k in node.keywords)):
+                    continue
+                sites += 1
+                sized = any(k.arg is None and isinstance(k.value, ast.Call)
+                            and getattr(k.value.func, "id", "")
+                            == "join_sizing" for k in node.keywords)
+                bare = len(node.args) > 2 or any(
+                    k.arg in ("num_partitions", "partition_size_hint")
+                    for k in node.keywords)
+                if bare or not sized:
+                    bad.append(f"{os.path.basename(path)}:{node.lineno}")
+        assert sites >= 21
+        assert bad == []
 
 
 class TestMaterializeNonempty:
