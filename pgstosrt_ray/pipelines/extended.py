@@ -231,7 +231,6 @@ def q_sample_per_key(sf_dir: str, n: int = 2):
     domain' sampling pattern: stable under reruns and row order, no
     RNG state to coordinate. Bucketed shuffle, vectorized ranking."""
     from ..functions.text import md5_of_ids
-    from .relational import _by_key_bucketed
     ds = _read(sf_dir, "events", columns=["event_id", "user_id"])
 
     def cap(g: pd.DataFrame) -> pd.DataFrame:
@@ -241,9 +240,9 @@ def q_sample_per_key(sf_dir: str, n: int = 2):
         return (g[rn.to_numpy() < n][["event_id", "user_id"]]
                 .reset_index(drop=True))
 
-    return _by_key_bucketed(ds, "user_id", cap,
-                            est_bytes=input_bytes(
-                                f"{sf_dir}/events.parquet"))
+    return bucketed_group_agg(ds, ["user_id"], cap,
+                              est_bytes=input_bytes(
+                                  f"{sf_dir}/events.parquet"))
 
 
 SQL_SAMPLE_PER_KEY = (

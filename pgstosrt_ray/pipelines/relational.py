@@ -167,73 +167,6 @@ SQL_HASH_JOIN = (
     "GROUP BY o_orderstatus")
 
 
-def _schema_normalizer(schema: pa.Schema):
-    """Cast stage pinning block schemas: a pandas block whose nullable
-    column is ALL-NaT/None in one bucket converts to arrow type
-    ``null``, making blocks schema-inconsistent (concat_tables and
-    driver-side collection break). Casting against the declared schema
-    restores the real type (null -> timestamp/float casts are valid
-    for all-null columns)."""
-    def cast(t: pa.Table) -> pa.Table:
-        cols = {}
-        for f in schema:
-            c = t.column(f.name)
-            cols[f.name] = (c if c.type == f.type
-                            else c.cast(f.type))
-        return pa.table(cols, schema=schema)
-    return cast
-
-
-def _by_key_bucketed(ds, key: str, per_bucket_fn,
-                     buckets: int | None = None,
-                     out_schema: pa.Schema | None = None,
-                     est_bytes: int | None = None):
-    """Per-key ordered computation, shuffled on hash(key) % buckets
-    instead of the raw key: the wide op moves small-int keys and pays
-    Ray's per-group overhead per BUCKET, not per key (millions at
-    100 TB); the exact per-key work happens in-process inside each
-    bucket — the same pattern as the flagship's sha1(url)%B assembly.
-    ``per_bucket_fn`` receives the WHOLE bucket frame and must stay
-    vectorized (pandas groupby(key) transforms — shift / cummax /
-    cumsum / cumcount), never a Python loop over keys.
-
-    Each bucket materializes as ONE frame, so the bucket count is
-    DATA-SIZED: callers pass ``est_bytes`` (on-disk input bytes,
-    metadata-only) and ``buckets_for`` keeps per-bucket frames under
-    TARGET_BUCKET_DISK_BYTES regardless of corpus size, with the
-    cluster-parallelism floor for small inputs. The bucket tag only
-    partitions — results are invariant to the count."""
-    import numpy as np
-    import pandas as pd
-
-    buckets = buckets or buckets_for(est_bytes)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        kv = t.column(key).to_numpy().astype(np.uint64)
-        b = (kv * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(buckets)
-        return t.append_column("_ub", pa.array(b.astype(np.int32),
-                                               pa.int32()))
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # NOTE: must return pandas — an Arrow return from a
-        # batch_format="pandas" map_groups breaks Ray's multi-block
-        # group merge path at higher parallelism (ray 2.49.2)
-        return per_bucket_fn(g.drop(columns=["_ub"]))
-
-    out = (ds.map_batches(add_bucket, batch_format="pyarrow")
-           .groupby("_ub").map_groups(per_bucket, batch_format="pandas"))
-    if out_schema is not None:
-        out = out.map_batches(_schema_normalizer(out_schema),
-                              batch_format="pyarrow")
-    return out
-
-
-def _by_user_bucketed(ds, per_bucket_fn, out_schema=None,
-                      est_bytes=None):
-    return _by_key_bucketed(ds, "user_id", per_bucket_fn,
-                            out_schema=out_schema, est_bytes=est_bytes)
-
-
 # --- M8: ordered forward-fill / lead within key groups -------------------
 def q_window_fill(sf_dir: str):
     import pandas as pd
@@ -249,8 +182,8 @@ def q_window_fill(sf_dir: str):
     schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
                         ("ts", pa.timestamp("us")),
                         ("next_ts", pa.timestamp("us"))])
-    return _by_user_bucketed(ds, fill, out_schema=schema,
-                             est_bytes=_table_bytes(sf_dir, "events"))
+    return bucketed_group_agg(ds, ["user_id"], fill, schema=schema,
+                              est_bytes=_table_bytes(sf_dir, "events"))
 
 SQL_WINDOW_FILL = (
     "SELECT event_id, user_id, ts, "
@@ -674,8 +607,8 @@ def q_asof_join(sf_dir: str):
     schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
                         ("ts", pa.timestamp("us")),
                         ("last_purchase_ts", pa.timestamp("us"))])
-    return _by_user_bucketed(ds, asof, out_schema=schema,
-                             est_bytes=_table_bytes(sf_dir, "events"))
+    return bucketed_group_agg(ds, ["user_id"], asof, schema=schema,
+                              est_bytes=_table_bytes(sf_dir, "events"))
 
 SQL_ASOF_JOIN = (
     "SELECT event_id, user_id, ts, "
@@ -692,7 +625,7 @@ def q_event_pairs_range(sf_dir: str, groups: int | None = None):
     """Pairs of same-user events within 5 minutes of each other — a
     NON-EQUI (range) join done scalably by time banding: each event
     lands in bands {b, b+1} (band = ts // 5 min), candidates pair only
-    within salted (user, band) buckets, and a pair is counted exactly
+    within hashed (user, band) buckets, and a pair is counted exactly
     once in the bucket of max(band_a, band_b) (its unique shared
     band), then filtered by the exact |dt| <= 5 min predicate.
     No all-pairs blowup: work is proportional to events per band.
@@ -709,18 +642,12 @@ def q_event_pairs_range(sf_dir: str, groups: int | None = None):
         ts_us = pc.cast(pc.cast(t.column("ts"), pa.timestamp("us")),
                         pa.int64()).to_numpy()
         band = ts_us // RANGE_US
-        n = t.num_rows
         ev = np.tile(t.column("event_id").to_numpy(), 2)
         uid = np.tile(t.column("user_id").to_numpy(), 2)
         ts2 = np.tile(ts_us, 2)
         ob = np.tile(band, 2)
         probe = np.concatenate([band, band + 1])
-        with np.errstate(over="ignore"):
-            grp = ((uid.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                    ^ probe.astype(np.uint64) * np.uint64(1099511628211))
-                   % np.uint64(groups)).astype(np.int32)
         return pa.table({
-            "grp": pa.array(grp, pa.int32()),
             "user_id": pa.array(uid, pa.int64()),
             "probe_band": pa.array(probe, pa.int64()),
             "orig_band": pa.array(ob, pa.int64()),
@@ -728,7 +655,7 @@ def q_event_pairs_range(sf_dir: str, groups: int | None = None):
             "ts_us": pa.array(ts2, pa.int64()),
         })
 
-    buckets = ds.map_batches(explode, batch_format="pyarrow")
+    banded = ds.map_batches(explode, batch_format="pyarrow")
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # one vectorized pass over the whole bucket: (user, band) cells
@@ -766,8 +693,8 @@ def q_event_pairs_range(sf_dir: str, groups: int | None = None):
                              "ev_a": ids[ia][keep].astype("int64"),
                              "ev_b": ids[ib][keep].astype("int64")})
 
-    return buckets.groupby("grp").map_groups(bucket_pairs,
-                                             batch_format="pandas")
+    return bucketed_group_agg(banded, ["user_id", "probe_band"],
+                              bucket_pairs, buckets=groups)
 
 SQL_EVENT_PAIRS_RANGE = (
     "SELECT a.user_id, a.event_id AS ev_a, b.event_id AS ev_b "
@@ -816,8 +743,8 @@ def q_sessionize(sf_dir: str):
         return out[["user_id", "session_id", "n_events",
                     "start_ts", "end_ts"]]
 
-    return _by_user_bucketed(ds, sessions,
-                             est_bytes=_table_bytes(sf_dir, "events"))
+    return bucketed_group_agg(ds, ["user_id"], sessions,
+                              est_bytes=_table_bytes(sf_dir, "events"))
 
 SQL_SESSIONIZE = f"""
 WITH flagged AS (
@@ -916,8 +843,8 @@ SQL_HOPPING_WINDOW = (
 # --- ranked top-N per group (ROW_NUMBER analogue) ------------------------
 def q_top_orders_per_cust(sf_dir: str, n: int = 3):
     """Top-3 orders per customer by price with an explicit rank —
-    the ROW_NUMBER window pattern, shuffled on hash(custkey)%64
-    buckets (per-key ranking in-process)."""
+    the ROW_NUMBER window pattern, shuffled on hash(custkey) % B with
+    data-sized B (per-key ranking in-process)."""
     import numpy as np
     import pandas as pd
     ds = _read(sf_dir, "orders",
@@ -933,8 +860,8 @@ def q_top_orders_per_cust(sf_dir: str, n: int = 3):
         g["rn"] = g["rn"].astype("int64")
         return g[g["rn"] <= n].reset_index(drop=True)
 
-    return _by_key_bucketed(ds, "o_custkey", topn,
-                            est_bytes=_table_bytes(sf_dir, "orders"))
+    return bucketed_group_agg(ds, ["o_custkey"], topn,
+                              est_bytes=_table_bytes(sf_dir, "orders"))
 
 SQL_TOP_ORDERS_PER_CUST = (
     "SELECT o_custkey, o_orderkey, o_totalprice, rn FROM ("
@@ -945,15 +872,17 @@ SQL_TOP_ORDERS_PER_CUST = (
 
 
 # --- grouped EXACT median via distributed histogram ----------------------
-def q_grouped_median(sf_dir: str):
-    """Exact per-group median of integer cents WITHOUT sorting the
-    corpus: per-batch (group, cents) partial counts -> one small
-    groupby -> a per-group histogram walk INSIDE the cluster
-    (map_groups; each group's histogram is bounded by its distinct
-    cents values — the price domain, NOT the row count; nothing
-    reaches the driver). This is the scale shape for exact order
-    statistics over bounded-domain values; unbounded domains take the
-    log-histogram sketch (extended.q_approx_quantiles)."""
+def _per_flag_cents(sf_dir: str, walk):
+    """``walk(histogram) -> one-row DataFrame`` per l_returnflag over
+    its exact (l_returnflag, cents, n) price histogram, sorted by
+    cents, WITHOUT sorting the corpus: per-batch (flag, cents) partial
+    counts -> one bucketed cell merge -> the per-flag walk INSIDE the
+    cluster (map_groups over the fixed flag domain; each flag's
+    histogram is bounded by its distinct cents values — the price
+    domain, NOT the row count; nothing reaches the driver). The scale
+    shape for exact order statistics over bounded-domain values
+    (q_grouped_median, webops.q_grouped_p90); unbounded domains take
+    the log-histogram sketch (extended.q_approx_quantiles)."""
     import numpy as np
     ds = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_extendedprice"])
@@ -975,12 +904,16 @@ def q_grouped_median(sf_dir: str):
                             as_index=False)["n"].sum(),
         domain_bound="histogram cells = returnflags x distinct cents "
                      "of the bounded price domain, not corpus rows")
+    return hist_ds.groupby("l_returnflag").map_groups(
+        lambda g: walk(g.sort_values("cents")), batch_format="pandas")
 
-    def walk(g):
-        # per-group histogram walk runs IN the cluster (round 2 did
-        # this on the driver); one output row per group
-        import pandas as pd
-        g = g.sort_values("cents")
+
+def q_grouped_median(sf_dir: str):
+    """Exact per-group median of integer cents (``_per_flag_cents``)."""
+    import numpy as np
+    import pandas as pd
+
+    def walk(g: pd.DataFrame) -> pd.DataFrame:
         vals = g["cents"].to_numpy()
         cum = np.cumsum(g["n"].to_numpy())
         total = int(cum[-1])
@@ -990,8 +923,7 @@ def q_grouped_median(sf_dir: str):
             "l_returnflag": [g["l_returnflag"].iloc[0]],
             "median_price_cents": [(lo + hi) / 2.0]})  # DuckDB: interp.
 
-    return hist_ds.groupby("l_returnflag").map_groups(
-        walk, batch_format="pandas")
+    return _per_flag_cents(sf_dir, walk)
 
 SQL_GROUPED_MEDIAN = (
     "SELECT l_returnflag, "

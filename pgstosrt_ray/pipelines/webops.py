@@ -326,11 +326,10 @@ def q_running_total(sf_dir: str):
     """Per-user cumulative value over event-time order — the
     SUM(...) OVER (PARTITION BY key ORDER BY ts ROWS UNBOUNDED
     PRECEDING) shape. Shuffled once on hash(user)%B with data-sized B
-    (relational._by_key_bucketed); the in-bucket work is one sort +
+    (reduce.bucketed_group_agg); the in-bucket work is one sort +
     one grouped cumsum, fully vectorized. Values ride as exact
     milli-units (int64) so the running sum is bit-identical on any
     engine and any bucket count."""
-    from .relational import _by_key_bucketed
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "value"])
 
@@ -350,8 +349,8 @@ def q_running_total(sf_dir: str):
                         ("user_id", pa.int64()),
                         ("ts", pa.timestamp("us")),
                         ("cum_value_milli", pa.int64())])
-    return _by_key_bucketed(ds, "user_id", cum, out_schema=schema,
-                            est_bytes=_table_bytes(sf_dir, "events"))
+    return bucketed_group_agg(ds, ["user_id"], cum, schema=schema,
+                              est_bytes=_table_bytes(sf_dir, "events"))
 
 
 SQL_RUNNING_TOTAL = (
@@ -363,9 +362,9 @@ SQL_RUNNING_TOTAL = (
 
 
 # --- exact per-group p90 (discrete) --------------------------------------
-# Same scale shape as relational.q_grouped_median: per-batch
-# (group, cents) histogram partials, bucketed cell merge, per-group
-# rank walk IN the cluster. The rank rule is self-specified —
+# The same price histogram as relational.q_grouped_median
+# (relational._per_flag_cents); only the rank walk differs. The rank
+# rule is self-specified —
 # value at 1-based rank ceil(0.9 * n) within the cents ordering —
 # and shared verbatim with the ROW_NUMBER SQL oracle (DuckDB's
 # quantile_disc rank rule is not documented bit-exactly, so the
@@ -374,28 +373,9 @@ P90_Q = 0.9
 
 
 def q_grouped_p90(sf_dir: str):
-    from .relational import _cents
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_returnflag", "l_extendedprice"])
-
-    def hist(t: pa.Table) -> pa.Table:
-        t2 = pa.table({"l_returnflag": t.column("l_returnflag"),
-                       "cents": _cents(t.column("l_extendedprice")),
-                       "one": pa.array(np.ones(t.num_rows, np.int64))})
-        return (pa.TableGroupBy(t2, ["l_returnflag", "cents"])
-                .aggregate([("one", "sum")])
-                .rename_columns(["l_returnflag", "cents", "n"]))
-
-    hist_ds = bucketed_group_agg(
-        ds.map_batches(hist, batch_format="pyarrow"),
-        ["l_returnflag", "cents"],
-        lambda g: g.groupby(["l_returnflag", "cents"],
-                            as_index=False)["n"].sum(),
-        domain_bound="histogram cells = returnflags x distinct cents "
-                     "of the bounded price domain, not corpus rows")
+    from .relational import _per_flag_cents
 
     def walk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("cents")
         vals = g["cents"].to_numpy()
         cum = np.cumsum(g["n"].to_numpy())
         rank = int(np.ceil(P90_Q * int(cum[-1])))
@@ -403,8 +383,7 @@ def q_grouped_p90(sf_dir: str):
         return pd.DataFrame({"l_returnflag": [g["l_returnflag"].iloc[0]],
                              "p90_cents": np.array([v], np.int64)})
 
-    return hist_ds.groupby("l_returnflag").map_groups(
-        walk, batch_format="pandas")
+    return _per_flag_cents(sf_dir, walk)
 
 
 SQL_GROUPED_P90 = f"""
@@ -567,7 +546,6 @@ ROLLING_N = 3
 
 
 def q_rolling_sum(sf_dir: str, n: int = ROLLING_N):
-    from .relational import _by_key_bucketed
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "value"])
 
@@ -587,8 +565,8 @@ def q_rolling_sum(sf_dir: str, n: int = ROLLING_N):
                         ("user_id", pa.int64()),
                         ("ts", pa.timestamp("us")),
                         ("roll_value_milli", pa.int64())])
-    return _by_key_bucketed(ds, "user_id", roll, out_schema=schema,
-                            est_bytes=_table_bytes(sf_dir, "events"))
+    return bucketed_group_agg(ds, ["user_id"], roll, schema=schema,
+                              est_bytes=_table_bytes(sf_dir, "events"))
 
 
 SQL_ROLLING_SUM = (
@@ -606,7 +584,6 @@ def q_asof_join_forward(sf_dir: str):
     Same single bucketed per-user shuffle; the in-bucket work is a
     reversed grouped cummin + reversed grouped ffill — vectorized,
     no per-user Python."""
-    from .relational import _by_user_bucketed
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts",
                                           "event_type"])
 
@@ -625,8 +602,8 @@ def q_asof_join_forward(sf_dir: str):
                         ("user_id", pa.int64()),
                         ("ts", pa.timestamp("us")),
                         ("next_purchase_ts", pa.timestamp("us"))])
-    return _by_user_bucketed(ds, asof_fwd, out_schema=schema,
-                             est_bytes=_table_bytes(sf_dir, "events"))
+    return bucketed_group_agg(ds, ["user_id"], asof_fwd, schema=schema,
+                              est_bytes=_table_bytes(sf_dir, "events"))
 
 
 SQL_ASOF_JOIN_FORWARD = (
@@ -650,7 +627,6 @@ FUNNEL_WINDOW_US = 3_600_000_000  # 1 hour
 
 
 def q_window_funnel(sf_dir: str):
-    from .relational import _by_key_bucketed
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
     win = pd.Timedelta(microseconds=FUNNEL_WINDOW_US)
 
@@ -675,8 +651,8 @@ def q_window_funnel(sf_dir: str):
 
     schema = pa.schema([("user_id", pa.int64()),
                         ("funnel_depth", pa.int64())])
-    return _by_key_bucketed(ds, "user_id", funnel, out_schema=schema,
-                            est_bytes=_table_bytes(sf_dir, "events"))
+    return bucketed_group_agg(ds, ["user_id"], funnel, schema=schema,
+                              est_bytes=_table_bytes(sf_dir, "events"))
 
 
 SQL_WINDOW_FUNNEL = f"""

@@ -24,7 +24,9 @@ The primitive has three parts:
 - ``write_units`` groups a keyed dataset by unit id and writes each
   unit from the workers (``map_groups``); its ``fail_after`` fault
   hook lives on that same path, so kill/resume tests run production
-  code.
+  code. A unit that received no rows gets a manifest without data
+  once the stage has run, so a completed stage always has every unit
+  complete.
 
 Five families use it:
 
@@ -103,18 +105,35 @@ def completed_partitions(out_dir: str) -> set[int]:
     return out
 
 
-def write_partition(out_dir: str, part_id: int, table: pa.Table,
+def _data_path(out_dir: str, part_id: int) -> str:
+    return os.path.join(out_dir, f"part={part_id}", "data.parquet")
+
+
+def write_partition(out_dir: str, part_id: int, table: pa.Table | None,
                     metrics: dict | None = None) -> None:
     """Atomically write one unit's data, then its manifest; ``metrics``
-    are extra manifest fields (stage, timings, checksums)."""
-    data_path = os.path.join(out_dir, f"part={part_id}", "data.parquet")
-    os.makedirs(os.path.dirname(data_path), exist_ok=True)
-    pq.write_table(table, data_path + ".tmp")
-    os.replace(data_path + ".tmp", data_path)
+    are extra manifest fields (stage, timings, checksums). ``table=None``
+    completes a unit that received no rows: a manifest, no data."""
+    n_rows = n_bytes = 0
+    if table is not None:
+        data_path = _data_path(out_dir, part_id)
+        os.makedirs(os.path.dirname(data_path), exist_ok=True)
+        pq.write_table(table, data_path + ".tmp")
+        os.replace(data_path + ".tmp", data_path)
+        n_rows, n_bytes = table.num_rows, os.path.getsize(data_path)
     _write_json(os.path.join(_manifest_dir(out_dir), f"{part_id}.json"), {
-        "part_id": part_id, "n_rows": table.num_rows,
-        "n_bytes": os.path.getsize(data_path),
+        "part_id": part_id, "n_rows": n_rows, "n_bytes": n_bytes,
         "written_at": time.time(), **(metrics or {})})
+
+
+def unit_files(out_dir: str) -> list[str]:
+    """Data files of the completed units, in unit order (units
+    completed without rows have none). Read them with
+    ``partitioning=None``: the ``part=K`` directory is a layout, not a
+    column."""
+    files = [_data_path(out_dir, k)
+             for k in sorted(completed_partitions(out_dir))]
+    return [p for p in files if os.path.exists(p)]
 
 
 def stage_guard(dir_path: str, params: dict) -> set[int]:
@@ -171,6 +190,10 @@ def write_units(ds, key: str, out_dir: str, build, n_units: int,
     from the workers: ``build(group) -> (table, manifest fields)``,
     then ``write_partition``. Returns run metrics.
 
+    Once every group is written, each pending unit that received no
+    rows is completed without data, so ``written`` + ``skipped`` is
+    ``n_units`` after any finished run.
+
     ``fail_after=K`` is the fault hook: the workers write only the
     first K pending unit ids, then the driver raises, leaving the dir
     as a crash after K units would."""
@@ -195,10 +218,11 @@ def write_units(ds, key: str, out_dir: str, build, n_units: int,
 
     res = ds.groupby(key).map_groups(
         write_group, batch_format=batch_format).materialize()
-    written = res.count()
     if fail_after is not None:
-        raise RuntimeError(f"injected failure after {written} units")
-    return {"written": written, "skipped": len(done),
+        raise RuntimeError(f"injected failure after {res.count()} units")
+    for uid in set(range(n_units)) - completed_partitions(out_dir):
+        write_partition(out_dir, uid, None)
+    return {"written": n_units - len(done), "skipped": len(done),
             "wall_time_s": round(time.perf_counter() - t0, 3),
             "stages": stage_metrics(res)}
 
@@ -245,10 +269,7 @@ def stage_metrics(ds) -> list:
 
 def read_output(out_dir: str) -> pa.Table:
     """Read back all completed partitions as one table."""
-    parts = []
-    for part_id in sorted(completed_partitions(out_dir)):
-        path = os.path.join(out_dir, f"part={part_id}", "data.parquet")
-        parts.append(pq.read_table(path))
+    parts = [pq.read_table(p) for p in unit_files(out_dir)]
     if not parts:
         return pa.table({"url": pa.array([], pa.string()),
                          "text": pa.array([], pa.string()),

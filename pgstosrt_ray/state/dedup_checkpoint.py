@@ -46,7 +46,7 @@ import pyarrow.parquet as pq
 
 from ..pipelines import dedupe
 from .checkpoint import (_read_json, _write_json, completed_partitions,
-                         skip_done, stage_guard, write_units)
+                         skip_done, stage_guard, unit_files, write_units)
 
 SIG_SCHEMA_VERSION = 1
 _COSINE_PAIRS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
@@ -136,8 +136,8 @@ def _checkpoint_pair_stage(out_dir: str, explode_fn, pairs_fn,
                                   "sig_parts": sig_stage["parts"],
                                   **stage_params})
     buckets = skip_done(
-        ray.data.read_parquet(sig_dir).map_batches(
-            explode_fn, batch_format="pyarrow"),
+        ray.data.read_parquet(unit_files(sig_dir), partitioning=None)
+        .map_batches(explode_fn, batch_format="pyarrow"),
         done, lambda t: t.column("grp").to_numpy())
     return write_units(
         buckets, "grp", pair_dir,
@@ -180,12 +180,11 @@ def _read_units(unit_dir: str, empty: pa.Schema):
     import ray.data
 
     from ..pipelines.reduce import buckets_for
-    files = [os.path.join(unit_dir, f"part={k}", "data.parquet")
-             for k in sorted(completed_partitions(unit_dir))]
-    files = [p for p in files if pq.ParquetFile(p).metadata.num_rows]
+    files = [p for p in unit_files(unit_dir)
+             if pq.ParquetFile(p).metadata.num_rows]
     if not files:
         return ray.data.from_arrow(empty.empty_table()), None
-    return ray.data.read_parquet(files), buckets_for(
+    return ray.data.read_parquet(files, partitioning=None), buckets_for(
         est_bytes=sum(os.path.getsize(p) for p in files))
 
 
@@ -204,7 +203,7 @@ def _labels_cached(labels_dir: str, params: dict, build_fn):
 
     data_dir = os.path.join(labels_dir, "part=0")
     if stage_guard(labels_dir, params):
-        return ray.data.read_parquet(data_dir)
+        return ray.data.read_parquet(data_dir, partitioning=None)
     labels = build_fn().materialize()
     tmp_dir = data_dir + ".tmp"
     shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -355,7 +354,8 @@ def finish_dedup_keep(sf_dir: str, out_dir: str,
     import ray.data
 
     def verified(pairs, buckets: int):
-        sigs = ray.data.read_parquet(os.path.join(out_dir, "sigs"))
+        sigs = ray.data.read_parquet(
+            unit_files(os.path.join(out_dir, "sigs")), partitioning=None)
         sigs = sigs.select_columns(["doc_id", "sig"]).materialize()
         return dedupe.estimate_pairs(
             dedupe._distinct_pairs(pairs, buckets), sigs, threshold)

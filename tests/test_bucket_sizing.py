@@ -64,7 +64,7 @@ def test_no_bucket_frame_beyond_target(ray_session, tmp_path):
     """Scale smoke: with a data-derived B, no map_groups task sees a
     frame materially beyond total/B (the fixed-64 family saw
     corpus/64 regardless of corpus size)."""
-    from pgstosrt_ray.pipelines.relational import _by_key_bucketed
+    from pgstosrt_ray.pipelines.reduce import bucketed_group_agg
 
     n = 20_000
     rng = np.random.RandomState(3)
@@ -81,8 +81,8 @@ def test_no_bucket_frame_beyond_target(ray_session, tmp_path):
     def measure(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"rows": [len(g)]})
 
-    sizes = _by_key_bucketed(ds, "user_id", measure,
-                             buckets=B).to_pandas()["rows"]
+    sizes = bucketed_group_agg(ds, ["user_id"], measure,
+                               buckets=B).to_pandas()["rows"]
     assert len(sizes) == B
     assert sizes.sum() == n
     # hash-balanced buckets: no frame beyond ~2x the even share
@@ -92,18 +92,19 @@ def test_no_bucket_frame_beyond_target(ray_session, tmp_path):
 def test_queries_use_derived_buckets(monkeypatch):
     """The weak-family queries must consult buckets_for (not a
     constant): force the estimate high and observe the derived count
-    flow through _by_key_bucketed."""
+    flow through bucketed_group_agg."""
     import pgstosrt_ray.pipelines.relational as rel
 
     seen = {}
-    real = rel._by_key_bucketed
+    real = rel.bucketed_group_agg
 
-    def spy(ds, key, fn, buckets=None, out_schema=None, est_bytes=None):
+    def spy(ds, key_cols, fn, buckets=None, est_bytes=None,
+            domain_bound=None, schema=None):
         seen["est_bytes"] = est_bytes
         seen["buckets"] = buckets or buckets_for(est_bytes)
         raise RuntimeError("stop before execution")
 
-    monkeypatch.setattr(rel, "_by_key_bucketed", spy)
+    monkeypatch.setattr(rel, "bucketed_group_agg", spy)
     monkeypatch.setattr(rel, "_read",
                         lambda sf, tbl, columns=None, **kw: None)
     monkeypatch.setattr(

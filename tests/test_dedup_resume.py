@@ -338,3 +338,80 @@ def test_prep_corpus_crash_then_resume(ray_session, tmp_path,
     # a different bucket count would remap fp -> bucket: fail loudly
     with pytest.raises(ValueError, match="parameter mismatch"):
         dc.run_checkpointed_prep_corpus(SF_DIR, out, buckets=8)
+
+
+# --- persisted-unit edge cases ---------------------------------------------
+@pytest.fixture()
+def few_docs_dir(tmp_path):
+    """Six documents and six embeddings, fewer than the default 16
+    signature units (so most units receive no rows); doc 5 / vec 5 is
+    a copy of doc 0 / vec 0, a planted near-dup for every family."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    d = tmp_path / "few"
+    d.mkdir()
+    for name, id_col in (("documents", "doc_id"), ("embeddings", "vec_id")):
+        t = pq.read_table(f"{SF_DIR}/{name}.parquet").slice(0, 5)
+        t = pa.concat_tables([t, t.slice(0, 1)])
+        t = t.set_column(t.schema.get_field_index(id_col), id_col,
+                         pa.array(range(6), pa.int64()))
+        pq.write_table(t, str(d / f"{name}.parquet"))
+    return str(d)
+
+
+def test_fewer_docs_than_signature_units(ray_session, tmp_path,
+                                         few_docs_dir):
+    """A signature unit that receives no rows is complete once its
+    stage has run, so all three families finish on a corpus with fewer
+    documents than sig_parts and equal their query paths (the pair
+    stage used to refuse: 'signature stage incomplete (4/16)')."""
+    from pgstosrt_ray.pipelines import dedupe
+    from pgstosrt_ray.state import dedup_checkpoint as dc
+    from pgstosrt_ray.state.checkpoint import completed_partitions
+    d, out = few_docs_dir, str(tmp_path / "mh")
+    keep, m = dc.run_checkpointed_dedup(d, out)
+    assert m["signatures"]["written"] == 16
+    assert len(completed_partitions(os.path.join(out, "sigs"))) == 16
+    want = _rows(dedupe.minhash_dedup_keep(d))
+    assert _rows(keep) == want and len(want) == 5
+    # the rerun finds every unit complete, the empty ones included
+    keep2, m2 = dc.run_checkpointed_dedup(d, out)
+    assert m2["signatures"] == {**m2["signatures"], "written": 0,
+                                "skipped": 16}
+    assert _rows(keep2) == want
+
+    labels, _ = dc.run_checkpointed_simhash(d, str(tmp_path / "sh"))
+    want_labels = _labels(dedupe.simhash_dedup_clusters(d))
+    assert _labels(labels) == want_labels
+    assert want_labels[5] == want_labels[0]
+
+    pairs, _ = dc.run_checkpointed_embedding_near_dup(
+        d, str(tmp_path / "emb"))
+    want_pairs = _pair_set(dedupe.embedding_near_dup_pairs(d))
+    assert _pair_set(pairs) == want_pairs
+    assert (0, 5) in {p[:2] for p in want_pairs}
+
+
+def _columns(ds) -> list:
+    return list(ds.schema().names)
+
+
+def test_unit_reads_keep_query_schema(ray_session, tmp_path):
+    """Persisted units are read without hive partition inference, so
+    a ``part=K`` directory never adds a ``part`` column: prep_corpus
+    has q_prep_corpus's columns, and a resumed SimHash finish leg
+    (labels read back from disk) has the first run's and the query's."""
+    from pgstosrt_ray.pipelines.dedupe import simhash_dedup_clusters
+    from pgstosrt_ray.pipelines.extended import q_prep_corpus
+    from pgstosrt_ray.state import dedup_checkpoint as dc
+    prep, _ = dc.run_checkpointed_prep_corpus(
+        SF_DIR, str(tmp_path / "prep"), buckets=8)
+    assert _columns(prep) == _columns(q_prep_corpus(SF_DIR))
+
+    out = str(tmp_path / "sim")
+    first, _ = dc.run_checkpointed_simhash(SF_DIR, out, sig_parts=4,
+                                           pair_groups=8)
+    resumed = dc.finish_simhash_clusters(SF_DIR, out)
+    want = _columns(simhash_dedup_clusters(SF_DIR))
+    assert _columns(first) == want
+    assert _columns(resumed) == want

@@ -302,3 +302,66 @@ def test_bucketed_group_agg_requires_scale_contract(ray_session):
             ds, ["id"],
             lambda g: g.groupby("id", as_index=False).size(), **kw)
         assert out.count() == 10
+
+
+_PKG = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "pgstosrt_ray")
+
+# keyed map_groups allowed outside reduce.bucketed_group_agg, by
+# (module, groupby key): bucket ids that are persisted checkpoint unit
+# ids, and walks over small fixed key domains
+_MAP_GROUPS_ALLOWED = {
+    ("extract", "_bucket"),       # flagship sha1(url) % B assembly
+    ("extended", "_b"),           # prep_corpus dedup bucket = prep unit
+    ("dedupe", "grp"),            # salted band groups = pairs-stage units
+    ("relational", "l_returnflag"),  # price-histogram walk, 3 flags
+    ("extended", "event_type"),   # quantile-sketch walk per event type
+    ("similarity", "query_id"),   # top-k per query of a fixed batch
+}
+
+
+def _calls(attr: str):
+    """(module, enclosing top-level function, call node) for every
+    ``.<attr>(`` call under pgstosrt_ray/."""
+    import ast
+    import glob
+    for path in sorted(glob.glob(os.path.join(_PKG, "**", "*.py"),
+                                 recursive=True)):
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        module = os.path.splitext(os.path.relpath(path, _PKG))[0]
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr",
+                                    getattr(node.func, "id", None)) == attr):
+                    yield module, getattr(top, "name", None), node
+
+
+class TestOneShuffleOneFold:
+    def test_keyed_map_groups_go_through_bucketed_group_agg(self):
+        # a per-key groupby whose key domain grows with the corpus
+        # must use the one keyed-bucket shuffle, bucketed_group_agg
+        import ast
+        sites, bad = 0, []
+        for module, fn, node in _calls("map_groups"):
+            if not module.startswith("pipelines/"):
+                continue
+            sites += 1
+            if (module, fn) == ("pipelines/reduce", "bucketed_group_agg"):
+                continue
+            grp = node.func.value
+            key = (grp.args[0].value
+                   if isinstance(grp, ast.Call)
+                   and getattr(grp.func, "attr", "") == "groupby"
+                   and grp.args and isinstance(grp.args[0], ast.Constant)
+                   else None)
+            if (module.split("/")[-1], key) not in _MAP_GROUPS_ALLOWED:
+                bad.append(f"{module}:{node.lineno} groupby({key!r})")
+        assert sites >= 8
+        assert bad == []
+
+    def test_one_aggregate_fn(self):
+        # agg_topk, agg_group_topk and agg_fold_blobs share one fold
+        sites = [(m, fn) for m, fn, _node in _calls("AggregateFn")]
+        assert sites == [("pipelines/reduce", "_fold")]
