@@ -11,8 +11,9 @@ Scale design (100 TB / 1e12 rows):
     band of the corpus; exact per-(band, key) pairing happens
     in-process inside each salted group;
   - signatures are NOT duplicated into band rows: pairs are generated
-    as bare (doc_a, doc_b) ids and signatures re-attached by two hash
-    joins against the (1000x-smaller-than-text) signature table;
+    as bare (doc_a, doc_b) ids and signatures re-attached from the
+    (1000x-smaller-than-text) signature table by ``reduce.attach``
+    (a counted broadcast, or two hash joins above its byte gate);
   - cluster labeling is iterative min-label propagation over the edge
     list (join + groupby-min per round, converges in O(cluster
     diameter) rounds) — nothing corpus-sized ever reaches the driver;
@@ -35,8 +36,8 @@ import pyarrow as pa
 from ..functions.dedup import (MinHasher, char_shingle_hashes,
                                lsh_band_keys_matrix, popcount64, salt_bucket,
                                simhash64, word_ngram_hashes)
-from .reduce import (bucketed_group_agg, input_bytes, join_sizing,
-                     materialize_nonempty, shuffle_groups)
+from .reduce import (attach, bucketed_group_agg, input_bytes, join_sizing,
+                     materialize_nonempty, referenced, shuffle_groups)
 
 NUM_PERM = 128
 BANDS = 16
@@ -215,45 +216,31 @@ def minhash_candidate_pairs(sf_dir: str, threshold: float = 0.5,
     return estimate_pairs(cand, sigs, threshold)
 
 
-# pair count below which signature re-attach broadcasts instead of
-# shuffling: bounds the collected sig subset to ~2x this x 1 KB
-BROADCAST_PAIRS_LIMIT = 8192
 # connected-components edge gate (label_propagation): driver union-find
 # is exact and ~100x cheaper than iterative propagation rounds until
 # the edge list itself is too big to collect; 1M edges = ~16 MB
 CC_BROADCAST_EDGES = 1 << 20
+EST_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                        ("est_jaccard", pa.float64())])
 
 
 def estimate_pairs(cand, sigs, threshold: float):
-    """Candidate id pairs + materialized signature table -> verified
-    (doc_a, doc_b, est_jaccard >= threshold).
+    """Materialized candidate id pairs + materialized signature table
+    -> verified (doc_a, doc_b, est_jaccard >= threshold).
 
-    Two re-attach strategies by candidate volume (cand is materialized,
-    so count() is metadata-free): below BROADCAST_PAIRS_LIMIT the
-    referenced signatures are collected once, broadcast via ray.put,
-    and attached inside map_batches — zero shuffle joins (each Ray 2.49
-    hash join costs ~2 s of aggregator-pool spin-up, which dominated
-    this pipeline at bench scale). Above the limit, the two partitioned
-    hash joins — nothing corpus-sized ever reaches the driver."""
-    n_pairs = cand.count()
-    if n_pairs <= BROADCAST_PAIRS_LIMIT:
-        return _estimate_pairs_broadcast(cand, sigs, threshold, n_pairs)
-    with_a = cand.join(sigs, "inner",
-                       **join_sizing(cand.size_bytes() + sigs.size_bytes()),
-                       on=("doc_a",), right_on=("doc_id",))
-    with_a = materialize_nonempty(with_a.map_batches(
-        lambda t: pa.table({"doc_a": t.column("doc_a"),
-                            "doc_b": t.column("doc_b"),
-                            "sig_a": t.column("sig")}),
-        batch_format="pyarrow"))
-    with_b = with_a.join(sigs, "inner",
-                         **join_sizing(with_a.size_bytes()
-                                       + sigs.size_bytes()),
-                         on=("doc_b",), right_on=("doc_id",))
+    Both signatures re-attach through ``reduce.attach``: below its byte
+    gate only the signatures some pair references are collected and
+    broadcast (zero shuffle joins — each Ray 2.49 hash join costs ~2 s
+    of aggregator-pool spin-up, which dominated this pipeline at bench
+    scale); above it, two partitioned hash joins, so nothing
+    corpus-sized ever reaches the driver."""
+    import ray.data
+    if cand.count() == 0:
+        return ray.data.from_arrow(EST_SCHEMA.empty_table())
 
     def estimate(t: pa.Table) -> pa.Table:
         a = _sig_matrix(t.column("sig_a").to_pylist())
-        b = _sig_matrix(t.column("sig").to_pylist())
+        b = _sig_matrix(t.column("sig_b").to_pylist())
         est = ((a == b).mean(axis=1) if len(a)
                else np.zeros(0, dtype=np.float64))
         keep = est >= threshold
@@ -263,53 +250,9 @@ def estimate_pairs(cand, sigs, threshold: float):
             "est_jaccard": pa.array(est[keep], pa.float64()),
         })
 
-    return with_b.map_batches(estimate, batch_format="pyarrow")
-
-
-def _estimate_pairs_broadcast(cand, sigs, threshold: float, n_pairs: int):
-    """Broadcast-join re-attach for small candidate sets: collect only
-    the signatures of docs referenced by a pair (<= 2 * n_pairs rows),
-    ship them once via ray.put, and verify each pair batch with one
-    searchsorted gather + row-wise equality."""
-    import ray
-    import ray.data
-
-    out_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
-                            ("est_jaccard", pa.float64())])
-    if n_pairs == 0:
-        return ray.data.from_arrow(out_schema.empty_table())
-    pair_tab = pa.concat_tables(
-        [t for t in ray.get(cand.to_arrow_refs()) if t.num_rows])
-    needed = np.unique(np.concatenate(
-        [pair_tab.column("doc_a").to_numpy(),
-         pair_tab.column("doc_b").to_numpy()]))
-    needed_ref = ray.put(needed)
-
-    def pick(t: pa.Table) -> pa.Table:
-        keep = np.isin(t.column("doc_id").to_numpy(), ray.get(needed_ref))
-        return t.filter(pa.array(keep, pa.bool_()))
-
-    sub = pa.concat_tables(
-        [t for t in ray.get(sigs.map_batches(
-            pick, batch_format="pyarrow").to_arrow_refs()) if t.num_rows])
-    order = np.argsort(sub.column("doc_id").to_numpy())
-    ids_sorted = sub.column("doc_id").to_numpy()[order]
-    sig_list = sub.column("sig").to_pylist()
-    mat = _sig_matrix([sig_list[i] for i in order])
-    mat_ref, ids_ref = ray.put(mat), ray.put(ids_sorted)
-
-    def attach(t: pa.Table) -> pa.Table:
-        m, ids = ray.get(mat_ref), ray.get(ids_ref)
-        a = t.column("doc_a").to_numpy()
-        b = t.column("doc_b").to_numpy()
-        est = (m[np.searchsorted(ids, a)]
-               == m[np.searchsorted(ids, b)]).mean(axis=1)
-        keep = est >= threshold
-        return pa.table({"doc_a": pa.array(a[keep], pa.int64()),
-                         "doc_b": pa.array(b[keep], pa.int64()),
-                         "est_jaccard": pa.array(est[keep], pa.float64())})
-
-    return cand.map_batches(attach, batch_format="pyarrow")
+    return attach(cand, sigs, "doc_id", {"doc_a": {"sig": "sig_a"},
+                                         "doc_b": {"sig": "sig_b"}}) \
+        .map_batches(estimate, batch_format="pyarrow")
 
 
 def _propagate_broadcast(edges, ids):
@@ -391,8 +334,9 @@ def label_propagation(edges, ids, max_rounds: int = 25):
     iterative min-label propagation remains the scale path for edge
     sets that genuinely cannot sit on the driver, and stays covered by
     forced-path tests. The gate has its OWN knob: CC_BROADCAST_EDGES
-    <= 0 disables it, independently of the BROADCAST_PAIRS_LIMIT
-    signature-re-attach gate (the two are tuned separately)."""
+    <= 0 disables it, independently of reduce.BROADCAST_BYTES (the
+    re-attach gate; this one decides where the compute runs, not how
+    a lookup is done)."""
     import pyarrow.compute as pc
     n_edges = edges.count()
     if n_edges == 0:
@@ -568,56 +512,32 @@ def _grams_of(t: pa.Table) -> pa.Table:
 
 def ngram_jaccard_verify(sf_dir: str, threshold: float = 0.3) -> pa.Table:
     """Exact word-3-gram Jaccard verification of the MinHash candidate
-    pairs. Fully distributed above BROADCAST_PAIRS_LIMIT: candidate
-    docs are selected by a SEMI JOIN against the pair-id list (nothing
-    reaches the driver, either side can be corpus-sized); their texts
-    turn into n-gram hash sets inside ``map_batches``; gram sets attach
-    to pairs via two hash joins; the per-pair Jaccard runs inside
-    ``map_batches``. Below the limit the gram blobs of the referenced
-    docs broadcast once instead (same rationale as estimate_pairs:
-    three ~2 s hash-join spin-ups for <= 8192 pairs)."""
+    pairs. Only the documents some pair references are read into
+    n-gram hash sets (``reduce.referenced``: a broadcast id filter
+    below the byte gate, a semi join above it); the gram sets attach
+    to both sides of each pair through ``reduce.attach`` (a broadcast
+    below the gate, two hash joins above it, so either side can be
+    corpus-sized); the per-pair Jaccard runs inside ``map_batches``."""
     cand = minhash_candidate_pairs(sf_dir, threshold=0.2)
     cand = materialize_nonempty(cand.select_columns(["doc_a", "doc_b"]))
-    n_pairs = cand.count()
-    if n_pairs == 0:
+    if cand.count() == 0:
         return pa.table({"doc_a": pa.array([], pa.int64()),
                          "doc_b": pa.array([], pa.int64()),
                          "jaccard3": pa.array([], pa.float64())})
-    if n_pairs <= BROADCAST_PAIRS_LIMIT:
-        return _ngram_verify_broadcast(sf_dir, cand, threshold)
-    ids = cand.map_batches(
-        lambda t: pa.table({"need_id": pa.concat_arrays(
-            [t.column("doc_a").combine_chunks(),
-             t.column("doc_b").combine_chunks()])}),
-        batch_format="pyarrow")
-    need_docs = _read_docs(sf_dir).join(
-        ids, "left_semi",
-        **join_sizing(input_bytes(f"{sf_dir}/documents.parquet")
-                      + cand.size_bytes()),
-        on=("doc_id",), right_on=("need_id",))
-
+    need_docs = referenced(cand, ["doc_a", "doc_b"], _read_docs(sf_dir),
+                           "doc_id",
+                           input_bytes(f"{sf_dir}/documents.parquet"))
     grams = materialize_nonempty(need_docs.map_batches(
         _grams_of, batch_format="pyarrow"))
-    j1 = cand.join(grams, "inner",
-                   **join_sizing(cand.size_bytes() + grams.size_bytes()),
-                   on=("doc_a",), right_on=("doc_id",))
-    # one join per streaming execution (see _distinct_pairs)
-    j1 = materialize_nonempty(j1.map_batches(
-        lambda t: pa.table({"doc_a": t.column("doc_a"),
-                            "doc_b": t.column("doc_b"),
-                            "grams_a": t.column("grams")}),
-        batch_format="pyarrow"))
-    j2 = j1.join(grams, "inner",
-                 **join_sizing(j1.size_bytes() + grams.size_bytes()),
-                 on=("doc_b",), right_on=("doc_id",))
-
-    return j2.map_batches(lambda t: _pair_jaccard(t, threshold),
-                          batch_format="pyarrow")
+    return attach(cand, grams, "doc_id", {"doc_a": {"grams": "grams_a"},
+                                          "doc_b": {"grams": "grams_b"}}) \
+        .map_batches(lambda t: _pair_jaccard(t, threshold),
+                     batch_format="pyarrow")
 
 
 def _pair_jaccard(t: pa.Table, threshold: float) -> pa.Table:
     """Vectorized per-pair exact Jaccard over (doc_a, doc_b, grams_a,
-    grams) rows: gram blobs are SORTED UNIQUE uint64 sets
+    grams_b) rows: gram blobs are SORTED UNIQUE uint64 sets
     (word_ngram_hashes), so intersection sizes fall out of one lexsort
     over (pair, hash) of both sides concatenated — equal adjacent rows
     are cross-side matches (each side is unique within a pair). No
@@ -631,7 +551,7 @@ def _pair_jaccard(t: pa.Table, threshold: float) -> pa.Table:
     ga = [np.frombuffer(x, dtype=np.uint64)
           for x in t.column("grams_a").to_pylist()]
     gb = [np.frombuffer(x, dtype=np.uint64)
-          for x in t.column("grams").to_pylist()]
+          for x in t.column("grams_b").to_pylist()]
     la = np.fromiter((x.size for x in ga), dtype=np.int64, count=n)
     lb = np.fromiter((x.size for x in gb), dtype=np.int64, count=n)
     pid = np.concatenate([np.repeat(np.arange(n), la),
@@ -652,52 +572,6 @@ def _pair_jaccard(t: pa.Table, threshold: float) -> pa.Table:
         "doc_b": pa.array(t.column("doc_b").to_numpy()[keep],
                           pa.int64()),
         "jaccard3": pa.array(j[keep], pa.float64())})
-
-
-def _ngram_verify_broadcast(sf_dir: str, cand, threshold: float):
-    """Broadcast gram re-attach for small candidate sets: the gram
-    blobs of the <= 2 x BROADCAST_PAIRS_LIMIT referenced docs collect
-    once (tens of MB worst case at typical doc lengths), ship via
-    ``ray.put``, and each pair batch verifies with a searchsorted
-    gather into the shared blob list — zero joins."""
-    import ray
-
-    pair_tab = pa.concat_tables(
-        [t for t in ray.get(cand.to_arrow_refs()) if t.num_rows])
-    needed = np.unique(np.concatenate(
-        [pair_tab.column("doc_a").to_numpy(),
-         pair_tab.column("doc_b").to_numpy()]))
-    need_ref = ray.put(needed)
-
-    def pick(t: pa.Table) -> pa.Table:
-        keep = np.isin(t.column("doc_id").to_numpy(), ray.get(need_ref))
-        return t.filter(pa.array(keep, pa.bool_()))
-
-    sub = pa.concat_tables(
-        [t for t in ray.get(
-            _read_docs(sf_dir).map_batches(pick, batch_format="pyarrow")
-            .map_batches(_grams_of, batch_format="pyarrow")
-            .to_arrow_refs()) if t.num_rows])
-    order = np.argsort(sub.column("doc_id").to_numpy())
-    ids_sorted = sub.column("doc_id").to_numpy()[order]
-    blob_list = sub.column("grams").to_pylist()
-    blob_ref = ray.put((ids_sorted, [blob_list[i] for i in order]))
-
-    def attach(t: pa.Table) -> pa.Table:
-        ids_s, blobs = ray.get(blob_ref)
-        a = t.column("doc_a").to_numpy()
-        b = t.column("doc_b").to_numpy()
-        return _pair_jaccard(pa.table({
-            "doc_a": t.column("doc_a").cast(pa.int64()),
-            "doc_b": t.column("doc_b").cast(pa.int64()),
-            "grams_a": pa.array(
-                [blobs[i] for i in np.searchsorted(ids_s, a)],
-                pa.binary()),
-            "grams": pa.array(
-                [blobs[i] for i in np.searchsorted(ids_s, b)],
-                pa.binary())}), threshold)
-
-    return cand.map_batches(attach, batch_format="pyarrow")
 
 
 EMB_TABLES = 6

@@ -21,14 +21,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import token_rows
-from .reduce import (bucketed_group_agg, buckets_for, input_bytes,
+from .reduce import (attach, bucketed_group_agg, buckets_for, input_bytes,
                      join_sizing, materialize_nonempty, parquet_rows)
-
-
-def _read(sf_dir: str, table: str, columns=None, **kw):
-    import ray.data
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet",
-                                 columns=columns, **kw)
+from .relational import _read
 
 
 # --- J-family completion: LEFT OUTER join --------------------------------
@@ -934,11 +929,6 @@ SQL_PERCENT_RANK_CHARS = ("SELECT doc_id, PERCENT_RANK() OVER "
                           "(ORDER BY n_chars) AS pr FROM documents")
 
 
-# tokens below which the (tok -> df) map broadcasts instead of joining
-# (~1M tokens x ~24 B = a few-MB ray.put object)
-BROADCAST_VOCAB_LIMIT = 1 << 20
-
-
 # --- most distinctive token per document (tf x rarity) ---------------------
 def q_tfidf_top_term(sf_dir: str):
     """Per-document most distinctive token by tf x (N/df) — idf with a
@@ -949,9 +939,11 @@ def q_tfidf_top_term(sf_dir: str):
 
     Scale shape: per-doc term counts are map-only; document frequency
     reduces through a salted-bucket distinct over the token domain
-    (vocabulary-cardinality, never a raw-key groupby); the score join
-    shuffles constant-width (doc_id, tok, c, tot) rows; the per-doc
-    argmax reduces through the same bucketed pattern keyed on doc_id."""
+    (vocabulary-cardinality, never a raw-key groupby); df re-attaches
+    to the constant-width (doc_id, tok, c, tot) rows through
+    ``reduce.attach`` (a broadcast below its byte gate, one hash join
+    above it); the per-doc argmax reduces through the same bucketed
+    pattern keyed on doc_id."""
     n_docs = parquet_rows(f"{sf_dir}/documents.parquet")
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -978,41 +970,15 @@ def q_tfidf_top_term(sf_dir: str):
                               ascending=[True, False, True])
                 .drop_duplicates("doc_id", ignore_index=True))
 
-    # small vocabularies broadcast the (tok -> df) map instead of
-    # joining (same counted-volume gate pattern as dedupe's broadcast
-    # re-attach: one hash join costs ~2 s of aggregator spin-up at
-    # bench scale); dfreq is materialized so count() is metadata-free
-    if dfreq.count() <= BROADCAST_VOCAB_LIMIT:
-        import ray
-        vocab = pa.concat_tables(
-            [t for t in ray.get(dfreq.to_arrow_refs()) if t.num_rows])
-        toks = vocab.column("tok").to_numpy(zero_copy_only=False)
-        order = np.argsort(toks)
-        ref = ray.put((toks[order],
-                       vocab.column("df").to_numpy()[order]))
+    def score(t: pa.Table) -> pa.Table:
+        s = ((t.column("c").to_numpy() * n_docs)
+             / (t.column("tot").to_numpy() * t.column("df").to_numpy()))
+        return pa.table({"doc_id": t.column("doc_id"),
+                         "tok": t.column("tok"),
+                         "score": pa.array(s, pa.float64())})
 
-        def score_bcast(df: pd.DataFrame) -> pd.DataFrame:
-            keys, dfv = ray.get(ref)
-            d = dfv[np.searchsorted(keys, df["tok"].to_numpy())]
-            s = (df["c"].to_numpy() * n_docs) / (df["tot"].to_numpy() * d)
-            return pd.DataFrame({"doc_id": df["doc_id"],
-                                 "tok": df["tok"], "score": s})
-
-        scored = counts.map_batches(score_bcast, batch_format="pandas")
-    else:
-        j = counts.join(dfreq, "inner",
-                        **join_sizing(counts.size_bytes()
-                                      + dfreq.size_bytes()),
-                        on=("tok",))
-
-        def score(df: pd.DataFrame) -> pd.DataFrame:
-            s = (df["c"].to_numpy() * n_docs) / (df["tot"].to_numpy()
-                                                 * df["df"].to_numpy())
-            return pd.DataFrame({"doc_id": df["doc_id"],
-                                 "tok": df["tok"], "score": s})
-
-        scored = j.map_batches(score, batch_format="pandas")
-
+    scored = attach(counts, dfreq, "tok", {"tok": {"df": "df"}}) \
+        .map_batches(score, batch_format="pyarrow")
     return bucketed_group_agg(
         scored, ["doc_id"], top1,
         est_bytes=input_bytes(f"{sf_dir}/documents.parquet"))

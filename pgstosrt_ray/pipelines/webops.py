@@ -19,14 +19,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import md5_bucket_of_ids, sha1_u64, token_rows
-from .reduce import (agg_fold_blobs, agg_group_topk, bucketed_group_agg,
-                     input_bytes, join_sizing, materialize_nonempty)
-
-
-def _read(sf_dir: str, table: str, columns=None, **kw):
-    import ray.data
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet",
-                                 columns=columns, **kw)
+from .reduce import (agg_fold_blobs, agg_group_topk, attach,
+                     broadcast_fits, bucketed_group_agg, join_sizing,
+                     materialize_nonempty)
+from .relational import _read, _table_bytes
 
 
 def _count_by(t: pa.Table, name: str) -> pa.Table:
@@ -34,10 +30,6 @@ def _count_by(t: pa.Table, name: str) -> pa.Table:
     return (t.group_by(t.column_names).aggregate([([], "count_all")])
             .select(t.column_names + ["count_all"])
             .rename_columns(t.column_names + [name]))
-
-
-def _table_bytes(sf_dir: str, table: str) -> int:
-    return input_bytes(f"{sf_dir}/{table}.parquet")
 
 
 # --- pivoted per-user event-type counts ----------------------------------
@@ -747,13 +739,13 @@ def q_bm25_search(sf_dir: str, k: int = BM25_K):
 # CCNet-style language-model quality signal: per-doc mean -log p(tok)
 # under the corpus's own add-one-smoothed unigram model. Scale shape:
 # the model is (tok, count) rows reduced through the salted-bucket
-# sum; small vocabularies broadcast the (tok -> logp) map (the
-# counted-volume gate pattern) into a MAP-ONLY scoring pass, larger
-# ones join and reduce per doc through the bucketed sum. Determinism
+# sum; a model that passes reduce's byte gate broadcasts as a
+# (tok -> logp) map into a MAP-ONLY scoring pass over the raw text
+# (zero-token docs need no shuffle), a larger one joins and reduces
+# per doc through the bucketed sum. Determinism
 # contract with golden.golden_unigram_logprob: contributions fold in
 # (doc, token-sorted) order via np.add.reduceat (sequential within a
 # segment), logp = log((c+1)/(total+V)) — one division then np.log.
-UNIGRAM_VOCAB_LIMIT = 1 << 20
 
 
 def _unigram_counts(t: pa.Table) -> pa.Table:
@@ -802,7 +794,7 @@ def q_unigram_logprob(sf_dir: str):
         est_bytes=docs_bytes),
         fallback_schema=pa.schema({"tok": pa.string(), "c": pa.int64()}))
     vocab_n = model.count()
-    if vocab_n <= UNIGRAM_VOCAB_LIMIT:
+    if broadcast_fits(model.size_bytes()):
         tab = pa.concat_tables(ray.get(model.to_arrow_refs()))
         keys = tab.column("tok").to_numpy(zero_copy_only=False)
         order = np.argsort(keys)
@@ -983,15 +975,12 @@ def q_bigram_pmi(sf_dir: str, k: int = PMI_TOP_K,
     """Top-k adjacent-bigram PMI with a min-count support filter.
     Scale shape: bigram and unigram occurrence counts reduce through
     data-sized bucketed sums (vocabulary-cardinality keys); unigram
-    counts attach to the filtered candidates via the counted broadcast
-    gate (UNIGRAM_VOCAB_LIMIT) with a two-join fallback kept as the
-    scale path (materialize boundary between the joins — one
-    hash-shuffle join per streaming DAG); the driver only ever sees
-    the final k rows (agg_topk). Determinism: pmi rounds to 6 dp and
-    the SQL oracle mirrors the exact float expression shape
-    ((n_ab*T1)*T1)/((T2*n_a)*n_b) — exact-int counts, one division."""
-    import ray
-
+    counts attach to the filtered candidates on both words through
+    ``reduce.attach`` (a broadcast below its byte gate, two hash joins
+    above it); the driver only ever sees the final k rows (agg_topk).
+    Determinism: pmi rounds to 6 dp and the SQL oracle mirrors the
+    exact float expression shape ((n_ab*T1)*T1)/((T2*n_a)*n_b) —
+    exact-int counts, one division."""
     from .reduce import agg_topk
     ds = _read(sf_dir, "documents", columns=["text"])
     docs_bytes = _table_bytes(sf_dir, "documents")
@@ -1033,52 +1022,17 @@ def q_bigram_pmi(sf_dir: str, k: int = PMI_TOP_K,
             / ((t2 * n_a.astype(np.float64)) * n_b.astype(np.float64))),
             6)
 
-    vocab_n = uni.count()
-    if vocab_n <= UNIGRAM_VOCAB_LIMIT:
-        tab = pa.concat_tables(
-            [t for t in ray.get(uni.to_arrow_refs()) if t.num_rows])
-        keys = tab.column("token").to_numpy(zero_copy_only=False)
-        order = np.argsort(keys)
-        ref = ray.put((keys[order], tab.column("n").to_numpy()[order]))
+    def score(t: pa.Table) -> pa.Table:
+        v = pmi_of(t.column("n").to_numpy(), t.column("n_a").to_numpy(),
+                   t.column("n_b").to_numpy())
+        return pa.table({"w1": t.column("w1"), "w2": t.column("w2"),
+                         "n": t.column("n").cast(pa.int64()),
+                         "pmi": pa.array(v, pa.float64())})
 
-        def score(t: pa.Table) -> pa.Table:
-            kv, nv = ray.get(ref)
-            a = t.column("w1").to_numpy(zero_copy_only=False)
-            b = t.column("w2").to_numpy(zero_copy_only=False)
-            n_ab = t.column("n").to_numpy()
-            v = pmi_of(n_ab, nv[np.searchsorted(kv, a)],
-                       nv[np.searchsorted(kv, b)])
-            return pa.table({"w1": t.column("w1"), "w2": t.column("w2"),
-                             "n": t.column("n").cast(pa.int64()),
-                             "pmi": pa.array(v, pa.float64())})
-
-        scored = cand.map_batches(score, batch_format="pyarrow")
-    else:
-        # scale path: unigram counts attach by two hash joins with a
-        # materialize boundary between them (ray 2.49: one
-        # hash-shuffle join per streaming DAG)
-        u1 = uni.map_batches(
-            lambda t: t.rename_columns(["u1", "c1"]),
-            batch_format="pyarrow")
-        j1 = materialize_nonempty(cand.join(
-            u1, "inner", **join_sizing(big.size_bytes() + uni.size_bytes()),
-            on=("w1",), right_on=("u1",)))
-        u2 = uni.map_batches(
-            lambda t: t.rename_columns(["u2", "c2"]),
-            batch_format="pyarrow")
-        j2 = materialize_nonempty(j1.join(
-            u2, "inner", **join_sizing(j1.size_bytes() + uni.size_bytes()),
-            on=("w2",), right_on=("u2",)))
-
-        def score_j(t: pa.Table) -> pa.Table:
-            v = pmi_of(t.column("n").to_numpy(),
-                       t.column("c1").to_numpy(),
-                       t.column("c2").to_numpy())
-            return pa.table({"w1": t.column("w1"), "w2": t.column("w2"),
-                             "n": t.column("n").cast(pa.int64()),
-                             "pmi": pa.array(v, pa.float64())})
-
-        scored = j2.map_batches(score_j, batch_format="pyarrow")
+    scored = attach(cand, uni, "token",
+                    {"w1": {"n": "n_a"}, "w2": {"n": "n_b"}},
+                    left_bytes=big.size_bytes()) \
+        .map_batches(score, batch_format="pyarrow")
     top = agg_topk(scored, ["pmi", "w1", "w2"], [False, True, True], k)
     return top.select(["w1", "w2", "n", "pmi"])
 

@@ -52,6 +52,11 @@ SIG_SCHEMA_VERSION = 1
 _COSINE_PAIRS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
                                   ("cosine", pa.float64())])
 _PREP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("split", pa.string())])
+_LABELS_SCHEMA = pa.schema([("doc_id", pa.int64()),
+                           ("cluster_id", pa.int64())])
+_EMBEDDING_SIG_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("embedding", pa.list_(pa.float32()))]
+    + [(f"b{tb}", pa.int64()) for tb in range(dedupe.EMB_TABLES)])
 
 
 def _pid_of_ids(ids, parts: int):
@@ -111,18 +116,18 @@ def checkpoint_simhash_signatures(sf_dir: str, out_dir: str,
          "sig_schema_version": SIG_SCHEMA_VERSION})
 
 
-def _checkpoint_pair_stage(out_dir: str, explode_fn, pairs_fn,
-                           groups: int, fail_after: int | None,
+def _checkpoint_pair_stage(out_dir: str, sig_schema: pa.Schema,
+                           explode_fn, pairs_fn, groups: int,
+                           fail_after: int | None,
                            stage_params: dict) -> dict:
     """Generic stage 2: candidate-pair edges per salted shuffle group,
-    persisted group-by-group from the checkpointed signature table;
+    persisted group-by-group from the checkpointed signature table
+    (``sig_schema`` when no unit holds a row, as on an empty corpus);
     completed groups are filtered before the shuffle.
     ``explode_fn(sig_table) -> Table`` must emit a ``grp`` column;
     ``pairs_fn(group_frame) -> DataFrame`` builds the group's edges.
     Even a group with no edges writes a manifest: an absent manifest
     means "not attempted", never "attempted, no pairs"."""
-    import ray.data
-
     sig_dir = os.path.join(out_dir, "sigs")
     sig_stage = _read_json(os.path.join(sig_dir, "_stage.json")) or {}
     have = len(completed_partitions(sig_dir))
@@ -136,7 +141,7 @@ def _checkpoint_pair_stage(out_dir: str, explode_fn, pairs_fn,
                                   "sig_parts": sig_stage["parts"],
                                   **stage_params})
     buckets = skip_done(
-        ray.data.read_parquet(unit_files(sig_dir), partitioning=None)
+        _read_units(sig_dir, sig_schema)[0]
         .map_batches(explode_fn, batch_format="pyarrow"),
         done, lambda t: t.column("grp").to_numpy())
     return write_units(
@@ -151,7 +156,7 @@ def checkpoint_pairs(out_dir: str, groups: int = 32,
     """MinHash stage 2: candidate-pair edges per salted (band, key)
     shuffle group."""
     return _checkpoint_pair_stage(
-        out_dir,
+        out_dir, dedupe.SIG_SCHEMA,
         functools.partial(dedupe._explode_minhash_bands, groups=groups),
         dedupe._bucket_pairs, groups, fail_after, {"family": "minhash"})
 
@@ -164,7 +169,7 @@ def checkpoint_simhash_pairs(out_dir: str, groups: int = 32,
     different threshold would permanently mark groups done with the
     wrong edge set)."""
     return _checkpoint_pair_stage(
-        out_dir,
+        out_dir, dedupe.SIMHASH_SCHEMA,
         functools.partial(dedupe._explode_simhash_bands, groups=groups),
         functools.partial(dedupe._simhash_band_pairs,
                           max_hamming=max_hamming),
@@ -208,6 +213,12 @@ def _labels_cached(labels_dir: str, params: dict, build_fn):
     tmp_dir = data_dir + ".tmp"
     shutil.rmtree(tmp_dir, ignore_errors=True)
     labels.write_parquet(tmp_dir)
+    if not os.path.isdir(tmp_dir):
+        # no label rows (a corpus without documents): write_parquet
+        # writes no file, so the read-back gets one typed empty file
+        os.makedirs(tmp_dir)
+        pq.write_table(_LABELS_SCHEMA.empty_table(),
+                       os.path.join(tmp_dir, "empty.parquet"))
     if os.path.isdir(data_dir):
         shutil.rmtree(data_dir)
     os.replace(tmp_dir, data_dir)
@@ -282,7 +293,7 @@ def checkpoint_embedding_pairs(out_dir: str, groups: int = 32,
                                      t.column("embedding"), groups)
 
     return _checkpoint_pair_stage(
-        out_dir, explode,
+        out_dir, _EMBEDDING_SIG_SCHEMA, explode,
         functools.partial(dedupe._embedding_cell_pairs, threshold=threshold),
         groups, fail_after,
         {"family": "embedding", "threshold": threshold})
@@ -349,13 +360,11 @@ def run_checkpointed_prep_corpus(sf_dir: str, out_dir: str,
 def finish_dedup_keep(sf_dir: str, out_dir: str,
                       threshold: float = 0.5):
     """MinHash finish leg from persisted artifacts: distinct candidate
-    ids -> signature re-join + Jaccard estimate -> label propagation ->
-    surviving doc_ids. Returns a Dataset."""
-    import ray.data
-
+    ids -> signature re-attach + Jaccard estimate -> label propagation
+    -> surviving doc_ids. Returns a Dataset."""
     def verified(pairs, buckets: int):
-        sigs = ray.data.read_parquet(
-            unit_files(os.path.join(out_dir, "sigs")), partitioning=None)
+        sigs, _ = _read_units(os.path.join(out_dir, "sigs"),
+                              dedupe.SIG_SCHEMA)
         sigs = sigs.select_columns(["doc_id", "sig"]).materialize()
         return dedupe.estimate_pairs(
             dedupe._distinct_pairs(pairs, buckets), sigs, threshold)

@@ -392,6 +392,40 @@ def test_fewer_docs_than_signature_units(ray_session, tmp_path,
     assert (0, 5) in {p[:2] for p in want_pairs}
 
 
+@pytest.fixture()
+def zero_docs_dir(tmp_path):
+    """Typed zero-row documents and embeddings tables."""
+    import pyarrow.parquet as pq
+    d = tmp_path / "zero"
+    d.mkdir()
+    for name in ("documents", "embeddings"):
+        pq.write_table(pq.read_table(f"{SF_DIR}/{name}.parquet").slice(0, 0),
+                       str(d / f"{name}.parquet"))
+    return str(d)
+
+
+def test_zero_documents(ray_session, tmp_path, zero_docs_dir):
+    """On a corpus without documents every signature unit completes
+    without data; each family's checkpointed run, and its rerun over
+    the completed units, then returns what its query path returns (the
+    pair stage used to hand read_parquet an empty file list: 'Must
+    provide at least one path.')."""
+    from pgstosrt_ray.pipelines import dedupe
+    from pgstosrt_ray.state import dedup_checkpoint as dc
+    d = zero_docs_dir
+    for run, query in (
+            (dc.run_checkpointed_dedup, dedupe.minhash_dedup_keep),
+            (dc.run_checkpointed_simhash, dedupe.simhash_dedup_clusters),
+            (dc.run_checkpointed_embedding_near_dup,
+             dedupe.embedding_near_dup_pairs)):
+        want = query(d).take_all()
+        out = str(tmp_path / run.__name__)
+        for written in (16, 0):
+            got, m = run(d, out)
+            assert got.take_all() == want == []
+            assert m["signatures"]["written"] == written
+
+
 def _columns(ds) -> list:
     return list(ds.schema().names)
 

@@ -268,8 +268,8 @@ def test_label_propagation_nonconvergence_raises(ray_session,
     the driver-side union-find below CC_BROADCAST_EDGES is exact by
     construction and has no rounds to exhaust."""
     import pytest
-    from pgstosrt_ray.pipelines import dedupe
-    monkeypatch.setattr(dedupe, "BROADCAST_PAIRS_LIMIT", -1)
+    from pgstosrt_ray.pipelines import dedupe, reduce
+    monkeypatch.setattr(reduce, "BROADCAST_BYTES", -1)
     monkeypatch.setattr(dedupe, "CC_BROADCAST_EDGES", -1)
     with pytest.raises(RuntimeError, match="did not converge"):
         r = dedupe.minhash_dedup_clusters("/root/testdata/sf0.001",
@@ -360,11 +360,11 @@ def test_ivf_sample_unbiased_on_clustered_input(ray_session, tmp_path):
 def test_estimate_pairs_join_path_equals_broadcast(ray_session,
                                                    monkeypatch):
     """The two signature re-attach strategies (broadcast below
-    BROADCAST_PAIRS_LIMIT, partitioned hash joins above) produce the
+    reduce.BROADCAST_BYTES, partitioned hash joins above) produce the
     SAME verified pairs — small corpora now take the broadcast path,
     so the join path needs this forced-equivalence guard to stay
     covered."""
-    from pgstosrt_ray.pipelines import dedupe
+    from pgstosrt_ray.pipelines import dedupe, reduce
 
     def pairs():
         t = dedupe.minhash_candidate_pairs(SF_DIR).to_pandas()
@@ -372,7 +372,7 @@ def test_estimate_pairs_join_path_equals_broadcast(ray_session,
                        t["est_jaccard"].round(12)))
 
     via_broadcast = pairs()
-    monkeypatch.setattr(dedupe, "BROADCAST_PAIRS_LIMIT", -1)
+    monkeypatch.setattr(reduce, "BROADCAST_BYTES", -1)
     via_joins = pairs()
     assert via_broadcast == via_joins
     assert len(via_broadcast) > 0
@@ -381,14 +381,14 @@ def test_estimate_pairs_join_path_equals_broadcast(ray_session,
 def test_ngram_verify_join_path_equals_broadcast(ray_session,
                                                  monkeypatch):
     """Forced-join ngram verification matches the broadcast gather."""
-    from pgstosrt_ray.pipelines import dedupe
+    from pgstosrt_ray.pipelines import dedupe, reduce
 
     def result():
         t = dedupe.ngram_jaccard_verify(SF_DIR).to_pandas()
         return set(zip(t["doc_a"], t["doc_b"], t["jaccard3"].round(12)))
 
     via_broadcast = result()
-    monkeypatch.setattr(dedupe, "BROADCAST_PAIRS_LIMIT", -1)
+    monkeypatch.setattr(reduce, "BROADCAST_BYTES", -1)
     via_joins = result()
     assert via_broadcast == via_joins
     assert len(via_broadcast) > 0
@@ -398,14 +398,14 @@ def test_label_propagation_equals_driver_union_find(ray_session,
                                                     monkeypatch):
     """The distributed min-label propagation rounds and the driver-side
     union-find broadcast path assign identical cluster labels."""
-    from pgstosrt_ray.pipelines import dedupe
+    from pgstosrt_ray.pipelines import dedupe, reduce
 
     def clusters():
         t = dedupe.minhash_dedup_clusters(SF_DIR).to_pandas()
         return dict(zip(t["doc_id"], t["cluster_id"]))
 
     via_union_find = clusters()
-    monkeypatch.setattr(dedupe, "BROADCAST_PAIRS_LIMIT", -1)
+    monkeypatch.setattr(reduce, "BROADCAST_BYTES", -1)
     monkeypatch.setattr(dedupe, "CC_BROADCAST_EDGES", -1)
     via_propagation = clusters()
     assert via_union_find == via_propagation

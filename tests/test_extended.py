@@ -6,7 +6,7 @@ import duckdb
 import pandas as pd
 import pytest
 
-from pgstosrt_ray.pipelines import extended
+from pgstosrt_ray.pipelines import extended, reduce
 
 SF_DIR = "/root/testdata/sf0.001"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
@@ -247,7 +247,7 @@ def test_tfidf_join_path_equals_broadcast(ray_session, monkeypatch):
         return set(zip(t["doc_id"], t["tok"], t["score"].round(12)))
 
     via_broadcast = result()
-    monkeypatch.setattr(extended, "BROADCAST_VOCAB_LIMIT", -1)
+    monkeypatch.setattr(reduce, "BROADCAST_BYTES", -1)
     via_join = result()
     assert via_broadcast == via_join
     assert len(via_broadcast) > 0

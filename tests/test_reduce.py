@@ -156,7 +156,8 @@ class TestJoinSizing:
                     for k in node.keywords)
                 if bare or not sized:
                     bad.append(f"{os.path.basename(path)}:{node.lineno}")
-        assert sites >= 21
+        # the re-attach joins live in reduce.attach / referenced
+        assert sites >= 15
         assert bad == []
 
 
@@ -320,9 +321,9 @@ _MAP_GROUPS_ALLOWED = {
 }
 
 
-def _calls(attr: str):
-    """(module, enclosing top-level function, call node) for every
-    ``.<attr>(`` call under pgstosrt_ray/."""
+def _nodes(kind):
+    """(module, enclosing top-level function, node) for every AST node
+    of ``kind`` under pgstosrt_ray/."""
     import ast
     import glob
     for path in sorted(glob.glob(os.path.join(_PKG, "**", "*.py"),
@@ -332,10 +333,18 @@ def _calls(attr: str):
         module = os.path.splitext(os.path.relpath(path, _PKG))[0]
         for top in tree.body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Call)
-                        and getattr(node.func, "attr",
-                                    getattr(node.func, "id", None)) == attr):
+                if isinstance(node, kind):
                     yield module, getattr(top, "name", None), node
+
+
+def _calls(attr: str):
+    """(module, enclosing top-level function, call node) for every
+    ``.<attr>(`` call under pgstosrt_ray/."""
+    import ast
+    for module, fn, node in _nodes(ast.Call):
+        if getattr(node.func, "attr",
+                   getattr(node.func, "id", None)) == attr:
+            yield module, fn, node
 
 
 class TestOneShuffleOneFold:
@@ -365,3 +374,238 @@ class TestOneShuffleOneFold:
         # agg_topk, agg_group_topk and agg_fold_blobs share one fold
         sites = [(m, fn) for m, fn, _node in _calls("AggregateFn")]
         assert sites == [("pipelines/reduce", "_fold")]
+
+
+def _table_of(ds) -> pa.Table:
+    """A Dataset's rows as one Arrow table sorted on every column (its
+    declared schema when it has no rows)."""
+    import ray
+    tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    if not tabs:
+        sch = ds.schema()
+        return pa.schema(list(zip(sch.names, sch.types))).empty_table()
+    t = pa.concat_tables(tabs)
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+class TestAttach:
+    """reduce.attach returns the same table on both sides of its byte
+    gate (BROADCAST_BYTES forced each way) and matches a pandas inner
+    merge."""
+
+    RIGHT = pa.table({"k": pa.array([1, 2, 3, 5], pa.int64()),
+                      "v": ["a", "b", "c", "e"],
+                      "w": [10.0, 20.0, 30.0, 50.0]})
+    LEFT = pa.table({"a": pa.array([1, 2, 2, 4, 5, 1], pa.int64()),
+                     "b": pa.array([3, 3, 1, 1, 9, 2], pa.int64()),
+                     "x": ["p", "q", "r", "s", "t", "u"]})
+
+    @staticmethod
+    def _ds(t: pa.Table):
+        import ray.data
+        # two blocks, so a batch never sees the whole left side
+        return ray.data.from_arrow([t.slice(0, t.num_rows // 2),
+                                    t.slice(t.num_rows // 2)])
+
+    def _both_sides(self, monkeypatch, left, right, on, bound=1 << 40):
+        """attach at ``bound`` (expected to broadcast) and forced onto
+        the join side; returns (broadcast table, join table)."""
+        from pgstosrt_ray.pipelines import reduce
+        sides, real = [], reduce.broadcast_fits
+
+        def spy(est):
+            sides.append(real(est))
+            return sides[-1]
+
+        monkeypatch.setattr(reduce, "broadcast_fits", spy)
+        out = []
+        for b in (bound, -1):
+            monkeypatch.setattr(reduce, "BROADCAST_BYTES", b)
+            sides.clear()
+            out.append(_table_of(reduce.attach(
+                self._ds(left), self._ds(right), "k", on)))
+            # the attach gate is the first decision of each call
+            assert sides and sides[0] == (b > 0), sides
+        return out
+
+    @staticmethod
+    def _merge(left, right, on) -> pa.Table:
+        df = left.to_pandas()
+        for col, m in on.items():
+            r = right.to_pandas()[["k", *m]].rename(
+                columns={"k": col, **m})
+            df = df.merge(r, on=col, how="inner")
+        t = pa.Table.from_pandas(df, preserve_index=False)
+        return t.sort_by([(c, "ascending") for c in t.column_names])
+
+    def test_absent_key_dropped_duplicates_kept(self, ray_session,
+                                                monkeypatch):
+        on = {"a": {"v": "va"}}
+        bcast, join = self._both_sides(monkeypatch, self.LEFT,
+                                       self.RIGHT, on)
+        assert bcast.equals(join)
+        assert bcast.equals(self._merge(self.LEFT, self.RIGHT, on))
+        # a=4 has no right row; a=1 and a=2 appear twice each
+        assert sorted(bcast.column("a").to_pylist()) == [1, 1, 2, 2, 5]
+        assert bcast.column_names == ["a", "b", "x", "va"]
+
+    def test_two_on_columns(self, ray_session, monkeypatch):
+        on = {"a": {"v": "va", "w": "wa"}, "b": {"v": "vb"}}
+        bcast, join = self._both_sides(monkeypatch, self.LEFT,
+                                       self.RIGHT, on)
+        assert bcast.equals(join)
+        assert bcast.equals(self._merge(self.LEFT, self.RIGHT, on))
+        assert bcast.num_rows == 4    # rows with both keys present
+        assert bcast.column_names == ["a", "b", "x", "va", "wa", "vb"]
+
+    @pytest.mark.parametrize("empty_side", ["left", "right"])
+    def test_empty_side_typed(self, ray_session, monkeypatch, empty_side):
+        from pgstosrt_ray.pipelines import reduce
+        left = (self.LEFT.slice(0, 0) if empty_side == "left"
+                else self.LEFT)
+        right = (self.RIGHT.slice(0, 0) if empty_side == "right"
+                 else self.RIGHT)
+        on = {"a": {"v": "va"}, "b": {"w": "wb"}}
+        want = pa.schema(list(self.LEFT.schema)
+                         + [("va", pa.string()), ("wb", pa.float64())])
+        for bound in (1 << 40, -1):
+            monkeypatch.setattr(reduce, "BROADCAST_BYTES", bound)
+            got = _table_of(reduce.attach(
+                self._ds(left), self._ds(right), "k", on))
+            assert got.num_rows == 0
+            assert got.schema.equals(want)
+
+    def test_referenced_subset_of_large_right(self, ray_session,
+                                              monkeypatch):
+        # a right side larger than the bound whose referenced rows fit:
+        # only those rows are collected (the <= 8192 pairs against
+        # corpus-wide signatures shape)
+        import ray.data
+        n = 4000
+        right = pa.table({"k": pa.array(np.arange(n), pa.int64()),
+                          "v": pa.array([bytes([i % 251]) * 256
+                                         for i in range(n)], pa.binary())})
+        left = pa.table({"a": pa.array([7, 7, 3999, 12345], pa.int64()),
+                         "b": pa.array([0, 1, 2, 3], pa.int64()),
+                         "x": ["p", "q", "r", "s"]})
+        on = {"a": {"v": "va"}, "b": {"v": "vb"}}
+        size = ray.data.from_arrow(right).size_bytes()
+        bcast, join = self._both_sides(monkeypatch, left, right, on,
+                                       bound=size // 100)
+        assert bcast.equals(join)
+        assert bcast.equals(self._merge(left, right, on))
+        assert bcast.column("b").to_pylist() == [0, 1, 2]
+
+    def test_lazy_left(self, ray_session, monkeypatch):
+        # a left that is not materialized is never counted: the gate
+        # weighs the whole right side, and left_bytes sizes the join
+        from pgstosrt_ray.pipelines import reduce
+        on = {"a": {"v": "va"}, "b": {"w": "wb"}}
+        out = []
+        for bound in (1 << 40, -1):
+            monkeypatch.setattr(reduce, "BROADCAST_BYTES", bound)
+            lazy = self._ds(self.LEFT).map_batches(
+                lambda t: t, batch_format="pyarrow")
+            out.append(_table_of(reduce.attach(
+                lazy, self._ds(self.RIGHT), "k", on, left_bytes=1 << 10)))
+        assert out[0].equals(out[1])
+        assert out[0].equals(self._merge(self.LEFT, self.RIGHT, on))
+
+
+# ray.put sites that are not keyed re-attaches: the broadcast IS the
+# query (broadcast/cross joins, bloom filters, ANN query matrices, a
+# rank lookup into a length histogram), the CC gate's driver
+# union-find, which decides where the compute runs, and
+# unigram_logprob's map-only scoring pass (it takes reduce's gate)
+_RAY_PUT_ALLOWED = {
+    ("pipelines/reduce", "attach"),
+    ("pipelines/reduce", "referenced"),
+    ("pipelines/relational", "q_broadcast_join"),
+    ("pipelines/extended", "q_cross_join"),
+    ("pipelines/extended", "q_semi_join_bloom"),
+    ("pipelines/extended", "q_decontaminate"),
+    ("pipelines/extended", "q_percent_rank_chars"),
+    ("pipelines/similarity", "brute_force_topk"),
+    ("pipelines/similarity", "brute_force_topk_multi"),
+    ("pipelines/dedupe", "_propagate_broadcast"),
+    ("pipelines/webops", "q_unigram_logprob"),
+}
+
+
+class TestOneReattach:
+    def test_no_broadcast_limit_compared_outside_reduce(self):
+        # the re-attach gate is reduce.broadcast_fits; the one other
+        # counted gate is label_propagation's CC edge gate
+        import ast
+        bad = []
+        for module, fn, node in _nodes(ast.Compare):
+            names = {getattr(n, "id", getattr(n, "attr", ""))
+                     for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            limits = {n for n in names
+                      if "BROADCAST" in n or n.endswith("_LIMIT")}
+            if (limits and module.startswith("pipelines/")
+                    and module != "pipelines/reduce"
+                    and ((module, fn), limits)
+                    != (("pipelines/dedupe", "label_propagation"),
+                        {"CC_BROADCAST_EDGES"})):
+                bad.append(f"{module}:{node.lineno} {sorted(limits)}")
+        assert bad == []
+
+    def test_ray_put_only_in_attach_or_allowlisted(self):
+        import ast
+        sites = {(m, fn) for m, fn, node in _nodes(ast.Call)
+                 if isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "put"
+                 and getattr(node.func.value, "id", "") == "ray"}
+        assert ("pipelines/reduce", "attach") in sites
+        assert sites - _RAY_PUT_ALLOWED == set()
+
+
+def _text_stats_corpus(tmp_dir: str) -> str:
+    """The documents table of perfbench's text_stats workload."""
+    import importlib.util
+
+    import pyarrow.parquet as pq
+    root = os.path.dirname(_PKG)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", os.path.join(root, "perfbench", "inputs.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    n = mod.SIZES["text_stats"]
+    pq.write_table(mod.base_documents(n),
+                   os.path.join(tmp_dir, "documents.parquet"))
+    return tmp_dir
+
+
+@pytest.mark.parametrize("corpus", ["sf0.001", "sf0.01", "text_stats"])
+def test_reattach_gates_broadcast_on_test_corpora(ray_session, monkeypatch,
+                                                  tmp_path, corpus):
+    """Every re-attach gate decision of the touched queries takes the
+    broadcast side on the test corpora and the text_stats bench corpus,
+    as the row-count gates it replaced did (<= 2^20 tokens, <= 8192
+    pairs): the byte bound moves no small input onto the join path."""
+    from pgstosrt_ray.pipelines import dedupe, extended, reduce, webops
+    seen, real = [], reduce.broadcast_fits
+
+    def spy(est):
+        seen.append((est, real(est)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(reduce, "broadcast_fits", spy)
+    monkeypatch.setattr(webops, "broadcast_fits", spy)
+    queries = {"tfidf_top_term": extended.q_tfidf_top_term,
+               "bigram_pmi": webops.q_bigram_pmi,
+               "unigram_logprob": webops.q_unigram_logprob}
+    if corpus == "text_stats":
+        sf_dir = _text_stats_corpus(str(tmp_path))
+    else:
+        sf_dir = os.path.join(os.path.dirname(SF_DIR), corpus)
+        queries.update({"minhash_pairs": dedupe.minhash_candidate_pairs,
+                        "minhash_dedup_keep": dedupe.minhash_dedup_keep,
+                        "ngram_jaccard_pairs": dedupe.ngram_jaccard_verify})
+    for name, q in queries.items():
+        seen.clear()
+        q(sf_dir)
+        assert seen, name
+        assert all(fits for _est, fits in seen), (name, seen)

@@ -55,9 +55,9 @@ def test_bigram_pmi_forced_join_path_equals_broadcast(ray_session,
                                                       monkeypatch):
     """The two-join scale path (unigram counts too big to broadcast)
     must produce the same top-k as the broadcast gate."""
-    from pgstosrt_ray.pipelines import webops
+    from pgstosrt_ray.pipelines import reduce, webops
     via_broadcast = _norm(_to_df(webops.q_bigram_pmi(SF_DIR)))
-    monkeypatch.setattr(webops, "UNIGRAM_VOCAB_LIMIT", -1)
+    monkeypatch.setattr(reduce, "BROADCAST_BYTES", -1)
     via_joins = _norm(_to_df(webops.q_bigram_pmi(SF_DIR)))
     pd.testing.assert_frame_equal(via_broadcast, via_joins)
 

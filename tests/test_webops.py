@@ -8,7 +8,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from pgstosrt_ray.pipelines import webops
+from pgstosrt_ray.pipelines import reduce, webops
 
 SF_DIR = "/root/testdata/sf0.001"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
@@ -172,7 +172,7 @@ def test_simhash_clusters_forced_distributed_path(ray_session,
     join path covered while small corpora ride the broadcast)."""
     from pgstosrt_ray.pipelines import dedupe
     a = _to_df(dedupe.simhash_dedup_clusters(SF_DIR))
-    monkeypatch.setattr(dedupe, "BROADCAST_PAIRS_LIMIT", -1)
+    monkeypatch.setattr(reduce, "BROADCAST_BYTES", -1)
     monkeypatch.setattr(dedupe, "CC_BROADCAST_EDGES", -1)
     b = _to_df(dedupe.simhash_dedup_clusters(SF_DIR))
     pd.testing.assert_frame_equal(a, b)
@@ -199,7 +199,7 @@ def test_unigram_logprob_forced_join_path(ray_session, monkeypatch):
     table as the broadcast gate (forced-path equivalence — keeps the
     join route covered while small corpora ride the broadcast)."""
     a = _to_df(webops.q_unigram_logprob(SF_DIR))
-    monkeypatch.setattr(webops, "UNIGRAM_VOCAB_LIMIT", -1)
+    monkeypatch.setattr(reduce, "BROADCAST_BYTES", -1)
     b = _to_df(webops.q_unigram_logprob(SF_DIR))
     pd.testing.assert_frame_equal(a, b)
 
