@@ -17,8 +17,8 @@ the judge can check parity):
     5-byte shingles, FNV band fold)
   - SimHash: functions/dedup.py simhash64 (FNV-1a word hashes,
     4x16-bit bands, hamming<=3)
-  - embedding LSH: pipelines/dedupe.py EmbeddingBucketStage
-    (6 tables x 8 bits, seed 77, cosine rounded to 6 dp)
+  - embedding LSH: pipelines/dedupe.py _embedding_sig_batch /
+    _cosine_score (6 tables x 8 bits, seed 77, cosine rounded to 6 dp)
   - ANN LSH / IVF: pipelines/similarity.py (seeds 99 / 11, query seed 7)
   - rolling fingerprint: functions/text.py rolling_fingerprint
     (window 16, base 257 mod 2^61-1)

@@ -4,12 +4,15 @@ training-data operators, alongside SURVEY §2.7 D1/D2).
 Scale design (100 TB / 1e12 rows):
   - signatures are computed per batch in ``map_batches`` and only small
     signature/bucket rows shuffle; full texts NEVER shuffle;
-  - candidate generation shuffles (grp, band, key, doc_id) rows where
-    ``grp = hash(band, key) % SHUFFLE_GROUPS`` — the wide groupby runs
-    over SHUFFLE_GROUPS salted groups (a knob that grows with the
-    cluster), not one group per band, and no group ever holds a whole
-    band of the corpus; exact per-(band, key) pairing happens
-    in-process inside each salted group;
+  - candidate generation is ONE banded pair path for all three
+    families (``banded_pairs``: ``_explode`` -> one salted groupby ->
+    ``_cell_pairs`` -> ``_collapse_pairs``), also run by the
+    checkpointed pair stage: it shuffles (grp, band, key, doc_id[,
+    payload]) rows where ``grp = salt_bucket(band, key, groups)`` and
+    ``groups`` is sized from the corpus (``_salted_groups``), not one
+    group per band, so no group ever holds a whole band of the corpus;
+    exact per-(band, key) pairing happens in-process inside each
+    salted group;
   - signatures are NOT duplicated into band rows: pairs are generated
     as bare (doc_a, doc_b) ids and signatures re-attached from the
     (1000x-smaller-than-text) signature table by ``reduce.attach``
@@ -28,6 +31,7 @@ Scale design (100 TB / 1e12 rows):
 from __future__ import annotations
 
 import functools
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -36,39 +40,32 @@ import pyarrow as pa
 from ..functions.dedup import (MinHasher, char_shingle_hashes,
                                lsh_band_keys_matrix, popcount64, salt_bucket,
                                simhash64, word_ngram_hashes)
-from .reduce import (attach, bucketed_group_agg, input_bytes, join_sizing,
-                     materialize_nonempty, referenced, shuffle_groups)
+from .reduce import (attach, bucketed_group_agg, buckets_for, input_bytes,
+                     join_sizing, materialize_nonempty, parquet_rows,
+                     referenced)
 
 NUM_PERM = 128
 BANDS = 16
-# salted shuffle-group count for bucket pairing — derived from the
-# cluster (reduce.shuffle_groups, ~4x CPUs): group count only affects
-# partitioning, never which pairs are generated (each (band, key)
-# bucket maps to exactly one group), so the output is invariant to it
-SHUFFLE_GROUPS = None
 
 
-def _groups(groups) -> int:
-    return groups if groups else shuffle_groups()
-
-
-def _salted_groups(sf_dir: str, groups, table: str, explode_mult: int,
+def _salted_groups(sf_dir: str, table: str, explode_mult: int,
                    row_bytes: int) -> int:
-    """Data-sized salted group count for the (band/cell, key) pair
+    """Data-sized salted group count for the (band, key) pair
     shuffles: parquet-footer row count x explode factor x shuffled row
     width, floored at shuffle_groups() (reduce.buckets_for). A
     cluster-sized-only count materializes corpus x bands / groups rows
     per group task — growing with the data. Output-invariant: the
     count only partitions the (band, key) cells across tasks, never
     which pairs are generated."""
-    if groups:
-        return groups
-    from .reduce import buckets_for, parquet_rows
     n = parquet_rows(f"{sf_dir}/{table}.parquet")
     return buckets_for(est_bytes=n * explode_mult * row_bytes)
 
 
 PAIRS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
+HAMMING_SCHEMA = pa.schema(list(PAIRS_SCHEMA) + [("hamming", pa.int64())])
+COSINE_SCHEMA = pa.schema(list(PAIRS_SCHEMA) + [("cosine", pa.float64())])
+LABELS_SCHEMA = pa.schema([("doc_id", pa.int64()),
+                           ("cluster_id", pa.int64())])
 
 
 def _read_docs(sf_dir: str):
@@ -120,99 +117,133 @@ def _sig_matrix(col) -> np.ndarray:
             else np.zeros((0, NUM_PERM), dtype=np.int64))
 
 
-def _explode_minhash_bands(batch: pa.Table, groups: int) -> pa.Table:
-    """(doc_id, sig) -> (grp, band, key, doc_id): tiny bucket rows only,
-    the signature itself does NOT enter the shuffle."""
-    sig_mat = _sig_matrix(batch.column("sig").to_pylist()).astype(np.uint64)
-    n = sig_mat.shape[0]
-    keys = lsh_band_keys_matrix(sig_mat, bands=BANDS)         # (n, BANDS)
-    band = np.tile(np.arange(BANDS, dtype=np.int32), n)
-    key_flat = keys.reshape(-1)
-    doc = np.repeat(batch.column("doc_id").to_numpy(), BANDS)
-    return pa.table({
-        "grp": pa.array(salt_bucket(band, key_flat, groups), pa.int32()),
-        "band": pa.array(band, pa.int32()),
-        "key": pa.array(key_flat, pa.int64()),
-        "doc_id": pa.array(doc, pa.int64()),
-    })
+class Banding(NamedTuple):
+    """One near-dup family's part of the banded candidate-pair path:
+    ``keys(sig_batch) -> (n, T)`` int64 band keys per document;
+    ``payload``, the signature column that rides along into the cells
+    for ``score(cell_payload, ia, ib) -> (keep, value)`` (vectorized
+    over the cell's upper-triangle pairs); ``schema``, the pair rows
+    (doc_a, doc_b[, value]); ``how``, the pandas reduction ("min" /
+    "max") of a pair's value over the cells it shares — None keeps
+    the distinct pairs."""
+    keys: Callable
+    payload: str | None = None
+    score: Callable | None = None
+    schema: pa.Schema = PAIRS_SCHEMA
+    how: str | None = None
 
 
-def _bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    """One salted group -> candidate (doc_a, doc_b) pairs; exact
-    (band, key) bucketing happens here, in-process."""
-    out_a, out_b = [], []
-    for _, bucket in g.groupby(["band", "key"], sort=True):
-        ids = np.sort(bucket["doc_id"].to_numpy())
-        if ids.size < 2:
-            continue
-        ia, ib = np.triu_indices(ids.size, k=1)
-        out_a.append(ids[ia])
-        out_b.append(ids[ib])
-    a = np.concatenate(out_a) if out_a else np.zeros(0, dtype=np.int64)
-    b = np.concatenate(out_b) if out_b else np.zeros(0, dtype=np.int64)
-    return pd.DataFrame({"doc_a": a.astype("int64"),
-                         "doc_b": b.astype("int64")})
+def _explode(t: pa.Table, banding: Banding, groups: int) -> pa.Table:
+    """Signature batch -> salted (grp, band, key, doc_id[, payload])
+    cell rows, one per (document, band): ids, keys and the small
+    payload only — the MinHash signature never enters the shuffle."""
+    keys = banding.keys(t)
+    n, bands = keys.shape
+    band = np.tile(np.arange(bands, dtype=np.int32), n)
+    key = keys.reshape(-1).astype(np.int64)
+    take = pa.array(np.repeat(np.arange(n), bands))
+    cols = {"grp": pa.array(salt_bucket(band, key, groups), pa.int32()),
+            "band": pa.array(band, pa.int32()),
+            "key": pa.array(key, pa.int64()),
+            "doc_id": t.column("doc_id").take(take).cast(pa.int64())}
+    if banding.payload:
+        cols["payload"] = t.column(banding.payload).take(take)
+    return pa.table(cols)
 
 
-def _distinct_pairs(pair_ds, buckets: int):
-    """Distinct (doc_a, doc_b) pairs, materialized.
+def _cell_pairs(g: pd.DataFrame, banding: Banding) -> pd.DataFrame:
+    """One salted group -> its candidate pair rows (``banding.schema``).
+    Exact (band, key) bucketing happens here, in-process: cells walk in
+    sorted (band, key) order, each cell's ids sorted and paired upper-
+    triangle, kept where ``banding.score`` says so. One-member cells
+    (most MinHash cells) pair nothing, so they drop before the walk."""
+    g = g[g.duplicated(["band", "key"], keep=False)]
+    band, key, ids = (g[c].to_numpy() for c in ("band", "key", "doc_id"))
+    order = np.lexsort((ids, key, band))
+    band, key, ids = band[order], key[order], ids[order]
+    pay = g["payload"].to_numpy()[order] if banding.payload else None
+    first = np.ones(ids.size, dtype=bool)     # first row of its cell
+    first[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
+    lo = np.flatnonzero(first)
+    out = [[] for _ in banding.schema]
+    for a, b in zip(lo, np.r_[lo[1:], ids.size]):
+        ia, ib = np.triu_indices(b - a, k=1)
+        cell = ids[a:b]
+        cols = [cell[ia], cell[ib]]
+        if banding.score is not None:
+            keep, value = banding.score(pay[a:b], ia, ib)
+            cols = [c[keep] for c in cols + [value]]
+        for acc, c in zip(out, cols):
+            acc.append(c)
+    return pd.DataFrame({
+        f.name: (np.concatenate(acc) if acc else np.zeros(0))
+        .astype(f.type.to_pandas_dtype())
+        for f, acc in zip(banding.schema, out)})
 
-    materialize() boundaries keep at most ONE hash-shuffle join per
-    streaming execution downstream: concurrent join aggregator pools
-    can resource-deadlock on small CPU budgets."""
-    # candidate-pair count grows with the corpus => bucketed distinct,
-    # never a raw-key groupby (measured 53.8 s vs 0.6 s at 36k groups).
-    # Bucket count = the DATA-SIZED band-group count the pairs came
-    # out of: pair volume scales with band-cell volume, so the dedup
-    # frames stay ~cell-sized at any corpus size.
-    return materialize_nonempty(bucketed_group_agg(
-        pair_ds, ["doc_a", "doc_b"],
-        lambda g: g.drop_duplicates(["doc_a", "doc_b"])
-        [["doc_a", "doc_b"]].reset_index(drop=True),
-        buckets=buckets))
+
+def _collapse_pairs(pair_ds, buckets: int, schema: pa.Schema = PAIRS_SCHEMA,
+                    how: str | None = None):
+    """One row per (doc_a, doc_b), materialized: the distinct pairs, or
+    the ``how`` of the pair's value (``schema``'s third column) over
+    the cells it shares; ``schema``'s typed empty table when there is
+    no pair.
+
+    Pair count grows with the corpus, so this is the bucketed
+    aggregation, never a raw-key groupby (measured 53.8 s vs 0.6 s at
+    36k groups). ``buckets`` = the data-sized band-group count the
+    pairs came out of: pair volume scales with cell volume, so the
+    frames stay ~cell-sized at any corpus size. The materialize()
+    boundary keeps at most ONE hash-shuffle join per streaming
+    execution downstream: concurrent join aggregator pools can
+    resource-deadlock on small CPU budgets."""
+    ab = ["doc_a", "doc_b"]
+
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        if how is None:
+            return g.drop_duplicates(ab)[ab].reset_index(drop=True)
+        return g.groupby(ab, as_index=False)[schema.names[2]].agg(how)
+
+    return materialize_nonempty(
+        bucketed_group_agg(pair_ds, ab, merge, buckets=buckets), schema)
 
 
-def _max_cosine_pairs(pair_ds, buckets: int):
-    """One (doc_a, doc_b, cosine) row per pair: a pair can collide in
-    several LSH tables, so keep its max cosine. Bucketed over the
-    corpus-cardinality pair key; ``buckets`` = the data-sized cell
-    group count the pairs fell out of."""
-    return bucketed_group_agg(
-        pair_ds, ["doc_a", "doc_b"],
-        lambda g: g.groupby(["doc_a", "doc_b"], as_index=False)
-        ["cosine"].max(),
-        buckets=buckets)
-
-
-def candidate_ids(sigs, groups: int):
-    """Materialized (doc_id, sig) dataset -> distinct candidate
-    (doc_a, doc_b) id pairs via salted-band bucketing."""
-    buckets = sigs.map_batches(
-        functools.partial(_explode_minhash_bands, groups=groups),
+def banded_pairs(sigs, banding: Banding, groups: int):
+    """Signature Dataset -> one row per candidate (doc_a, doc_b): the
+    one banded candidate-pair path of the three near-dup families.
+    Explode to salted cell rows, ONE groupby over ``groups`` salted
+    groups (each (band, key) cell lands in exactly one, so the output
+    is invariant to ``groups``), pair within cells, collapse."""
+    cells = sigs.map_batches(
+        functools.partial(_explode, banding=banding, groups=groups),
         batch_format="pyarrow")
-    return _distinct_pairs(
-        buckets.groupby("grp").map_groups(
-            _bucket_pairs, batch_format="pandas"),
-        buckets=_groups(groups))
+    pairs = cells.groupby("grp").map_groups(
+        functools.partial(_cell_pairs, banding=banding),
+        batch_format="pandas")
+    return _collapse_pairs(pairs, groups, banding.schema, banding.how)
 
 
-def minhash_candidate_pairs(sf_dir: str, threshold: float = 0.5,
-                            groups: int = SHUFFLE_GROUPS):
+def _minhash_keys(t: pa.Table) -> np.ndarray:
+    sig_mat = _sig_matrix(t.column("sig").to_pylist()).astype(np.uint64)
+    return lsh_band_keys_matrix(sig_mat, bands=BANDS)
+
+
+MINHASH = Banding(_minhash_keys)
+
+
+def minhash_candidate_pairs(sf_dir: str, threshold: float = 0.5):
     """documents -> candidate near-dup pairs with estimated Jaccard.
 
-    shingle -> minhash (warm per-process hasher) -> explode to salted
-    (band, key) bucket rows (ids only) -> salted groupby ->
-    within-bucket pairs -> distinct -> re-attach signatures by hash
-    join -> estimate Jaccard from full signatures -> filter >=
-    threshold.
+    shingle -> minhash (warm per-process hasher) -> banded pairs (ids
+    only) -> re-attach signatures -> estimate Jaccard from full
+    signatures -> filter >= threshold.
     """
     # materialized once: three consumers (band explode + two joins)
     # would otherwise recompute the shingle/minhash pass; signatures
     # are ~1 KB/doc (~1000x smaller than text), object store can spill
     sigs = _signatures(sf_dir).materialize()
     # exploded band row = (band i32, key i64, doc i64) ~ 24 B
-    cand = candidate_ids(sigs, _salted_groups(sf_dir, groups,
-                                              "documents", BANDS, 24))
+    cand = banded_pairs(sigs, MINHASH,
+                        _salted_groups(sf_dir, "documents", BANDS, 24))
     return estimate_pairs(cand, sigs, threshold)
 
 
@@ -234,9 +265,8 @@ def estimate_pairs(cand, sigs, threshold: float):
     of aggregator-pool spin-up, which dominated this pipeline at bench
     scale); above it, two partitioned hash joins, so nothing
     corpus-sized ever reaches the driver."""
-    import ray.data
     if cand.count() == 0:
-        return ray.data.from_arrow(EST_SCHEMA.empty_table())
+        return _empty(EST_SCHEMA)
 
     def estimate(t: pa.Table) -> pa.Table:
         a = _sig_matrix(t.column("sig_a").to_pylist())
@@ -298,10 +328,25 @@ def _edges_of(pair_ds):
     return pair_ds.map_batches(both, batch_format="pyarrow")
 
 
+def _has_documents(sf_dir: str) -> bool:
+    """Whether ``sf_dir`` has a document (a parquet-footer count). Ray
+    skips every UDF on zero-row blocks, so a map over an empty corpus
+    returns a Dataset without a schema: the cluster and keeper steps
+    answer an empty corpus with their typed empty table instead."""
+    return parquet_rows(f"{sf_dir}/documents.parquet") > 0
+
+
+def _empty(schema: pa.Schema):
+    import ray.data
+    return ray.data.from_arrow(schema.empty_table())
+
+
 def _clusters_of(pair_ds, sf_dir: str, max_rounds: int = 25):
     """Near-dup (doc_a, doc_b) pairs -> (doc_id, cluster_id) for every
     document of ``sf_dir`` (label_propagation over the undirected
     edge list; a document in no pair is its own cluster)."""
+    if not _has_documents(sf_dir):
+        return _empty(LABELS_SCHEMA)
     edges = materialize_nonempty(_edges_of(pair_ds))
     ids = _read_docs(sf_dir).select_columns(["doc_id"])
     return label_propagation(edges, ids, max_rounds)
@@ -433,74 +478,36 @@ def simhash_signatures(sf_dir: str):
         _simhash_sig_batch, batch_format="pyarrow", batch_size=256)
 
 
-def _explode_simhash_bands(t: pa.Table, groups: int) -> pa.Table:
-    """(doc_id, simhash, band0..3) -> salted (grp, band, key, doc_id,
-    simhash) band rows — module-level so the checkpointed simhash
-    pipeline (state/dedup_checkpoint) reuses the identical explode."""
-    n = t.num_rows
-    doc = np.repeat(t.column("doc_id").to_numpy(), 4)
-    sim = np.repeat(t.column("simhash").to_numpy(), 4)
-    band = np.tile(np.arange(4, dtype=np.int32), n)
-    key = np.empty(4 * n, dtype=np.int64)
-    for b in range(4):
-        key[b::4] = t.column(f"band{b}").to_numpy()
-    return pa.table({
-        "grp": pa.array(salt_bucket(band, key, groups), pa.int32()),
-        "band": pa.array(band, pa.int32()),
-        "key": pa.array(key, pa.int64()),
-        "doc_id": pa.array(doc, pa.int64()),
-        "simhash": pa.array(sim, pa.int64()),
-    })
+def _stacked_keys(t: pa.Table, cols: tuple) -> np.ndarray:
+    """(n, len(cols)) key matrix of per-band key columns."""
+    return np.stack([t.column(c).to_numpy() for c in cols], axis=1)
 
 
-def _simhash_band_pairs(g: pd.DataFrame,
-                        max_hamming: int = 3) -> pd.DataFrame:
-    """Within-band candidate pairs with verified Hamming distance."""
-    out_a, out_b, out_d = [], [], []
-    for _, bucket in g.groupby(["band", "key"], sort=True):
-        bucket = bucket.sort_values("doc_id")
-        ids = bucket["doc_id"].to_numpy()
-        if ids.size < 2:
-            continue
-        sims = bucket["simhash"].to_numpy().astype(np.uint64)
-        ia, ib = np.triu_indices(ids.size, k=1)
-        d = popcount64(sims[ia] ^ sims[ib])
-        keep = d <= max_hamming
-        out_a.append(ids[ia][keep])
-        out_b.append(ids[ib][keep])
-        out_d.append(d[keep])
-    a = np.concatenate(out_a) if out_a else np.zeros(0, dtype=np.int64)
-    b = np.concatenate(out_b) if out_b else np.zeros(0, dtype=np.int64)
-    d = np.concatenate(out_d) if out_d else np.zeros(0, dtype=np.int64)
-    return pd.DataFrame({"doc_a": a.astype("int64"),
-                         "doc_b": b.astype("int64"),
-                         "hamming": d.astype("int64")})
+def _hamming_score(sims: np.ndarray, ia, ib, max_hamming: int):
+    s = sims.astype(np.uint64)
+    d = popcount64(s[ia] ^ s[ib])
+    return d <= max_hamming, d
 
 
-def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3,
-                           groups: int = SHUFFLE_GROUPS):
-    """SimHash banding: equal 16-bit band => candidate; verify hamming.
-    Same salted-bucket shuffle as MinHash (parallelism = ``groups``,
-    not 4); the 8-byte simhash rides along (4x8 B per doc is cheap,
-    unlike the 1 KB MinHash signature)."""
-    sigs = simhash_signatures(sf_dir)
+def simhash_banding(max_hamming: int = 3) -> Banding:
+    """4 x 16-bit bands (hamming <= 3 guarantee), verified in-cell."""
+    return Banding(
+        functools.partial(_stacked_keys,
+                          cols=tuple(f"band{b}" for b in range(4))),
+        "simhash",
+        functools.partial(_hamming_score, max_hamming=max_hamming),
+        HAMMING_SCHEMA, "min")
+
+
+def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3):
+    """SimHash banding: equal 16-bit band => candidate; verify hamming
+    (identical across bands, so the collapse's min is the value). The
+    8-byte simhash rides along (4x8 B per doc is cheap, unlike the
+    1 KB MinHash signature)."""
     # exploded band row = (doc i64, simhash i64, band i32, key i64)
-    groups = _salted_groups(sf_dir, groups, "documents", 4, 32)
-    buckets = sigs.map_batches(
-        functools.partial(_explode_simhash_bands, groups=_groups(groups)),
-        batch_format="pyarrow")
-    pair_ds = buckets.groupby("grp").map_groups(
-        functools.partial(_simhash_band_pairs, max_hamming=max_hamming),
-        batch_format="pandas")
-    # pair cardinality grows with the corpus => bucketed min, not a
-    # raw-key groupby (hamming is identical across bands, min = value);
-    # bucket count = the data-sized band-group count the pairs fell
-    # out of, so dedup frames stay cell-sized at any corpus size
-    return bucketed_group_agg(
-        pair_ds, ["doc_a", "doc_b"],
-        lambda g: g.groupby(["doc_a", "doc_b"], as_index=False)
-        ["hamming"].min(),
-        buckets=_groups(groups))
+    return banded_pairs(simhash_signatures(sf_dir),
+                        simhash_banding(max_hamming),
+                        _salted_groups(sf_dir, "documents", 4, 32))
 
 
 def _grams_of(t: pa.Table) -> pa.Table:
@@ -577,130 +584,90 @@ def _pair_jaccard(t: pa.Table, threshold: float) -> pa.Table:
 EMB_TABLES = 6
 EMB_BITS = 8
 EMB_SEED = 77
+EMBEDDING_SIG_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("embedding", pa.list_(pa.float32()))]
+    + [(f"b{tb}", pa.int64()) for tb in range(EMB_TABLES)])
 
 
-_PLANES_CACHE: dict[tuple, np.ndarray] = {}
+@functools.lru_cache(maxsize=None)
+def _emb_planes(dim: int) -> np.ndarray:
+    """The (EMB_TABLES * EMB_BITS, dim) random hyperplanes, built ONCE
+    per worker process (round 2 regenerated them inside every batch —
+    the per-batch-state-setup anti-pattern). One cheap seeded
+    standard_normal, so stateless tasks keep the warm state without
+    an actor pool."""
+    return np.random.RandomState(EMB_SEED).standard_normal(
+        (EMB_TABLES * EMB_BITS, dim))
 
 
-class EmbeddingBucketStage:
-    """Multi-table random-hyperplane bucketing with the
-    (tables*bits, dim) plane matrix built ONCE per worker process
-    (round 2 regenerated it inside every batch — the
-    per-batch-state-setup anti-pattern). Run as stateless tasks with a
-    process-cached plane matrix: construction is one cheap seeded
-    standard_normal, so tasks + singleton give the warm-state
-    guarantee without actor-pool spin-up per query."""
-
-    def __init__(self, tables: int = EMB_TABLES, bits: int = EMB_BITS,
-                 groups: int = 64, dim: int = 64, seed: int = EMB_SEED):
-        key = (tables, bits, dim, seed)
-        if key not in _PLANES_CACHE:
-            _PLANES_CACHE[key] = np.random.RandomState(
-                seed).standard_normal((tables * bits, dim))
-        self.planes = _PLANES_CACHE[key]
-        self.tables, self.bits, self.groups = tables, bits, groups
-
-    def bucket_matrix(self, t: pa.Table) -> np.ndarray:
-        """(n, tables) int64 bucket ids per vector — shared by the
-        exploding __call__ and the one-row-per-vec checkpointed
-        signature stage."""
-        emb = t.column("embedding")
-        m = np.stack([np.asarray(v, dtype=np.float64)
-                      for v in emb.to_pylist()])
-        if m.ndim != 2 or m.shape[0] == 0:
-            m = np.zeros((0, self.planes.shape[1]))
-        signs = (m @ self.planes.T) > 0              # (n, tables*bits)
-        weights = (1 << np.arange(self.bits, dtype=np.int64))
-        return np.stack(
-            [signs[:, tb * self.bits:(tb + 1) * self.bits] @ weights
-             for tb in range(self.tables)], axis=1)  # (n, tables)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return _explode_cells(t.column("vec_id"), self.bucket_matrix(t),
-                              t.column("embedding"), self.groups)
-
-
-def _explode_cells(ids, bucket: np.ndarray, emb, groups: int) -> pa.Table:
-    """(n,) ids + (n, tables) bucket matrix + (n,) embeddings -> salted
-    (grp, tbl, bucket, vec_id, embedding) cell rows, one per (vector,
-    table); the embedding rides along for the in-cell cosine."""
-    n, tables = bucket.shape
-    tab = np.tile(np.arange(tables, dtype=np.int32), n)
-    key = bucket.reshape(-1).astype(np.int64)
-    take_idx = pa.array(np.repeat(np.arange(n), tables))
-    return pa.table({
-        "grp": pa.array(salt_bucket(tab, key, groups), pa.int32()),
-        "tbl": pa.array(tab, pa.int32()),
-        "bucket": pa.array(key, pa.int64()),
-        "vec_id": ids.take(take_idx),
-        "embedding": emb.combine_chunks().take(take_idx),
-    })
-
-
-def _bucketize_batch(t: pa.Table, tables: int, bits: int,
-                     groups: int) -> pa.Table:
-    # module-level task entry: EmbeddingBucketStage() is free after the
-    # first call in a process thanks to the plane cache
-    return EmbeddingBucketStage(tables=tables, bits=bits, groups=groups)(t)
-
-
-def _embedding_cell_pairs(g: pd.DataFrame,
-                          threshold: float) -> pd.DataFrame:
-    """Within-(table, bucket)-cell cosine pairs >= threshold —
-    module-level so the checkpointed embedding pipeline
-    (state/dedup_checkpoint) reuses the identical kernel."""
-    out_a, out_b, out_c = [], [], []
-    for _, cell in g.groupby(["tbl", "bucket"], sort=True):
-        cell = cell.sort_values("vec_id")
-        ids = cell["vec_id"].to_numpy()
-        if ids.size < 2:
-            continue
-        m = np.stack([np.asarray(v, dtype=np.float64)
-                      for v in cell["embedding"]])
-        m /= np.linalg.norm(m, axis=1, keepdims=True).clip(min=1e-12)
-        # round to 6 decimals BEFORE thresholding: the reported
-        # cosine is then bit-stable across cell shapes / BLAS
-        # call patterns (and golden-oracle comparable)
-        sims = np.round(m @ m.T, 6)
-        ia, ib = np.triu_indices(ids.size, k=1)
-        keep = sims[ia, ib] >= threshold
-        out_a.append(ids[ia][keep])
-        out_b.append(ids[ib][keep])
-        out_c.append(sims[ia, ib][keep])
-    a = np.concatenate(out_a) if out_a else np.zeros(0, dtype=np.int64)
-    b = np.concatenate(out_b) if out_b else np.zeros(0, dtype=np.int64)
-    c = np.concatenate(out_c) if out_c else np.zeros(0, dtype=np.float64)
-    return pd.DataFrame({"doc_a": a.astype("int64"),
-                         "doc_b": b.astype("int64"),
-                         "cosine": c.astype("float64")})
-
-
-def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.35,
-                             tables: int = EMB_TABLES, bits: int = EMB_BITS,
-                             groups: int = SHUFFLE_GROUPS):
-    """Embedding-cosine near-dup, LSH-blocked (the 100 TB shape):
-    ``tables`` independent random-hyperplane hash tables assign each
-    vector to a bucket per table; cosine is computed only WITHIN
-    (table, bucket) cells (salted groupby, same pattern as MinHash) —
-    no full-matrix broadcast, no all-pairs matmul. Approximate by
-    design: a pair at cosine c collides in >=1 table with prob
-    1-(1-(1-acos(c)/pi)^bits)^tables (~0.96+ for true near-dups at
-    c>=0.95 with 6x8 defaults); planted-duplicate recall is pinned by
-    test."""
+def _read_embeddings(sf_dir: str):
+    """The embeddings table with vec_id presented as doc_id, so the
+    banded pair path (and the checkpoint's sha1(doc_id) units) treat
+    vectors as documents."""
     import ray.data
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"])
-    # cell row carries the embedding: ~dim x 4 B + ids ~= 280 B
-    groups = _salted_groups(sf_dir, groups, "embeddings", tables, 280)
-    stage = functools.partial(
-        _bucketize_batch, tables=tables, bits=bits, groups=groups)
-    buckets = ds.map_batches(stage, batch_format="pyarrow",
-                             batch_size=4096)
+    return ds.map_batches(
+        lambda t: t.rename_columns(["doc_id", "embedding"]),
+        batch_format="pyarrow")
 
-    pair_ds = buckets.groupby("grp").map_groups(
-        functools.partial(_embedding_cell_pairs, threshold=threshold),
-        batch_format="pandas")
-    return _max_cosine_pairs(pair_ds, _groups(groups))
+
+def _embedding_sig_batch(t: pa.Table) -> pa.Table:
+    """(doc_id, embedding) -> (doc_id, embedding, b0..b5): one row per
+    vector with its bucket in each of the EMB_TABLES random-hyperplane
+    tables (EMB_BITS sign bits each)."""
+    emb = t.column("embedding")
+    cols = {"doc_id": t.column("doc_id").cast(pa.int64()), "embedding": emb}
+    m = np.stack([np.asarray(v, dtype=np.float64) for v in emb.to_pylist()])
+    signs = (m @ _emb_planes(m.shape[1]).T) > 0      # (n, tables*bits)
+    bucket = (signs.reshape(len(m), EMB_TABLES, EMB_BITS)
+              @ (1 << np.arange(EMB_BITS, dtype=np.int64)))
+    for tb in range(EMB_TABLES):
+        cols[f"b{tb}"] = pa.array(bucket[:, tb], pa.int64())
+    return pa.table(cols)
+
+
+def embedding_signatures(sf_dir: str):
+    return _read_embeddings(sf_dir).map_batches(
+        _embedding_sig_batch, batch_format="pyarrow", batch_size=4096)
+
+
+def _cosine_score(embs: np.ndarray, ia, ib, threshold: float):
+    m = np.stack([np.asarray(v, dtype=np.float64) for v in embs])
+    m /= np.linalg.norm(m, axis=1, keepdims=True).clip(min=1e-12)
+    # round to 6 decimals BEFORE thresholding: the reported cosine is
+    # then bit-stable across cell shapes / BLAS call patterns (and
+    # golden-oracle comparable)
+    sims = np.round(m @ m.T, 6)[ia, ib]
+    return sims >= threshold, sims
+
+
+def embedding_banding(threshold: float = 0.35) -> Banding:
+    """One (table, bucket) cell per hyperplane table, cosine-verified
+    in-cell; a pair that collides in several tables keeps its max."""
+    return Banding(
+        functools.partial(_stacked_keys,
+                          cols=tuple(f"b{tb}" for tb in range(EMB_TABLES))),
+        "embedding",
+        functools.partial(_cosine_score, threshold=threshold),
+        COSINE_SCHEMA, "max")
+
+
+def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.35):
+    """Embedding-cosine near-dup, LSH-blocked (the 100 TB shape):
+    EMB_TABLES independent random-hyperplane hash tables assign each
+    vector to a bucket per table; cosine is computed only WITHIN
+    (table, bucket) cells (the banded pair path MinHash and SimHash
+    take) — no full-matrix broadcast, no all-pairs matmul. Approximate
+    by design: a pair at cosine c collides in >=1 table with prob
+    1-(1-(1-acos(c)/pi)^bits)^tables (~0.96+ for true near-dups at
+    c>=0.95 with 6x8 tables x bits); planted-duplicate recall is
+    pinned by test."""
+    # cell row carries the embedding: ~dim x 4 B + ids ~= 280 B
+    return banded_pairs(embedding_signatures(sf_dir),
+                        embedding_banding(threshold),
+                        _salted_groups(sf_dir, "embeddings", EMB_TABLES,
+                                       280))
 
 
 def simhash_dedup_clusters(sf_dir: str, max_hamming: int = 3,
@@ -715,10 +682,13 @@ def simhash_dedup_clusters(sf_dir: str, max_hamming: int = 3,
                         sf_dir, max_rounds)
 
 
-def _keepers(clusters):
-    """(doc_id, cluster_id) -> (doc_id) of each cluster's keeper, the
-    document whose id is the cluster label."""
+def _keepers(clusters, sf_dir: str):
+    """(doc_id, cluster_id) of ``sf_dir``'s documents -> (doc_id) of
+    each cluster's keeper, the document whose id is the cluster
+    label."""
     import pyarrow.compute as pc
+    if not _has_documents(sf_dir):
+        return _empty(pa.schema([LABELS_SCHEMA.field("doc_id")]))
 
     def keepers(t: pa.Table) -> pa.Table:
         keep = pc.equal(t.column("doc_id"), t.column("cluster_id"))
@@ -731,7 +701,7 @@ def minhash_dedup_keep(sf_dir: str, threshold: float = 0.5):
     """The end-to-end near-dedup: doc_ids that SURVIVE MinHash-LSH
     dedup (one keeper — the min doc_id — per connected near-dup
     cluster). A narrow filter over the cluster labels; no text moves."""
-    return _keepers(minhash_dedup_clusters(sf_dir, threshold))
+    return _keepers(minhash_dedup_clusters(sf_dir, threshold), sf_dir)
 
 
 QUERIES = {

@@ -41,34 +41,12 @@ def brute_force_topk(sf_dir: str, k: int = TOP_K) -> pa.Table:
     """Exact cosine top-k for the fixed query vector. Output
     (vec_id, sim) with sim rounded to 6 decimals (oracle-compare-safe:
     both engines round the same double)."""
-    import ray
     import ray.data
     q = _load_query(sf_dir)
     qn = q / max(np.linalg.norm(q), 1e-12)
-    q_ref = ray.put(qn)
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-
-    def partial_topk(df: pd.DataFrame) -> pd.DataFrame:
-        qv = ray.get(q_ref)
-        m = np.stack(df["embedding"].to_numpy()).astype(np.float64)
-        m /= np.linalg.norm(m, axis=1, keepdims=True).clip(min=1e-12)
-        sims = np.round(m @ qv, 6)
-        # truncate on the ROUNDED ordering with the vec_id tiebreak so
-        # the partial top-k is consistent with the SQL oracle's ORDER BY
-        order = np.lexsort((df["vec_id"].to_numpy(), -sims))[:k]
-        return pd.DataFrame({"vec_id": df["vec_id"].to_numpy()[order],
-                             "sim": sims[order]})
-
-    partials = ds.map_batches(partial_topk, batch_format="pandas",
-                              batch_size=4096)
-    # in-cluster AggregateFn merge of the per-batch partials: the
-    # driver sees only the final k rows (round-2's to_pandas() grew
-    # with n_batches)
-    top = agg_topk(partials, ["sim", "vec_id"], [False, True],
-                   k=k).to_pandas()
-    return pa.table({"vec_id": pa.array(top["vec_id"].tolist(), pa.int64()),
-                     "sim": pa.array(top["sim"].tolist(), pa.float64())})
+    return _topk_of(ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
+                                          columns=["vec_id", "embedding"]),
+                    qn, k)
 
 
 N_QUERIES = 8
@@ -294,13 +272,14 @@ def _topk_of(hits_ds, qn: np.ndarray, k: int) -> pa.Table:
         m = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         m /= np.linalg.norm(m, axis=1, keepdims=True).clip(min=1e-12)
         sims = np.round(m @ qn, 6)
-        # per-batch partial top-k; the tree below merges the partials
+        # per-batch partial top-k; agg_topk merges the partials
         # in-cluster so the driver only sees the final k rows
         order = np.lexsort((df["vec_id"].to_numpy(), -sims))[:k]
         return pd.DataFrame({"vec_id": df["vec_id"].to_numpy()[order],
                              "sim": sims[order]})
 
-    partials = hits_ds.map_batches(score, batch_format="pandas")
+    partials = hits_ds.map_batches(score, batch_format="pandas",
+                                   batch_size=4096)
     top = agg_topk(partials, ["sim", "vec_id"], [False, True],
                    k=k).to_pandas()
     return pa.table({"vec_id": pa.array(top["vec_id"].tolist(), pa.int64()),

@@ -20,15 +20,17 @@ one family never resumes onto another's units.
 
 - Stage 1 is the corpus-sized scan: completed partitions are filtered
   out AT THE READ so their text is never re-scanned.
-- Stage 2 shuffles tiny (band, key, doc_id) rows; completed groups are
-  filtered out before the shuffle. It refuses to start until stage 1
-  is complete (pairs from partial signatures would be marked done
-  with missing candidates).
+- Stage 2 is the query path's banded pair step (``dedupe._explode`` +
+  ``dedupe._cell_pairs`` under the family's ``dedupe.Banding``): it
+  shuffles tiny (band, key, doc_id[, payload]) rows, one unit per
+  salted group; completed groups are filtered out before the shuffle.
+  It refuses to start until stage 1 is complete (pairs from partial
+  signatures would be marked done with missing candidates).
 - The finish leg runs from the persisted artifacts; only its label
   propagation result is cached.
 
 This module only persists, guards and wires stages: every signature,
-explode, pair kernel, pair merge, clustering and keeper step is the
+explode, cell kernel, pair collapse, clustering and keeper step is the
 query path's own function in pipelines/dedupe.py, so a checkpointed
 run computes what the query computes by construction.
 """
@@ -49,14 +51,7 @@ from .checkpoint import (_read_json, _write_json, completed_partitions,
                          skip_done, stage_guard, unit_files, write_units)
 
 SIG_SCHEMA_VERSION = 1
-_COSINE_PAIRS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
-                                  ("cosine", pa.float64())])
 _PREP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("split", pa.string())])
-_LABELS_SCHEMA = pa.schema([("doc_id", pa.int64()),
-                           ("cluster_id", pa.int64())])
-_EMBEDDING_SIG_SCHEMA = pa.schema(
-    [("doc_id", pa.int64()), ("embedding", pa.list_(pa.float32()))]
-    + [(f"b{tb}", pa.int64()) for tb in range(dedupe.EMB_TABLES)])
 
 
 def _pid_of_ids(ids, parts: int):
@@ -117,17 +112,17 @@ def checkpoint_simhash_signatures(sf_dir: str, out_dir: str,
 
 
 def _checkpoint_pair_stage(out_dir: str, sig_schema: pa.Schema,
-                           explode_fn, pairs_fn, groups: int,
+                           banding: dedupe.Banding, groups: int,
                            fail_after: int | None,
                            stage_params: dict) -> dict:
-    """Generic stage 2: candidate-pair edges per salted shuffle group,
-    persisted group-by-group from the checkpointed signature table
-    (``sig_schema`` when no unit holds a row, as on an empty corpus);
-    completed groups are filtered before the shuffle.
-    ``explode_fn(sig_table) -> Table`` must emit a ``grp`` column;
-    ``pairs_fn(group_frame) -> DataFrame`` builds the group's edges.
-    Even a group with no edges writes a manifest: an absent manifest
-    means "not attempted", never "attempted, no pairs"."""
+    """Generic stage 2: the query path's banded pair step
+    (``dedupe._explode`` + ``dedupe._cell_pairs`` for the family's
+    ``banding``) persisted salted group by salted group from the
+    checkpointed signature table (``sig_schema`` when no unit holds a
+    row, as on an empty corpus); completed groups are filtered before
+    the shuffle. Even a group with no edges writes a manifest: an
+    absent manifest means "not attempted", never "attempted, no
+    pairs"."""
     sig_dir = os.path.join(out_dir, "sigs")
     sig_stage = _read_json(os.path.join(sig_dir, "_stage.json")) or {}
     have = len(completed_partitions(sig_dir))
@@ -141,12 +136,14 @@ def _checkpoint_pair_stage(out_dir: str, sig_schema: pa.Schema,
                                   "sig_parts": sig_stage["parts"],
                                   **stage_params})
     buckets = skip_done(
-        _read_units(sig_dir, sig_schema)[0]
-        .map_batches(explode_fn, batch_format="pyarrow"),
+        _read_units(sig_dir, sig_schema)[0].map_batches(
+            functools.partial(dedupe._explode, banding=banding,
+                              groups=groups), batch_format="pyarrow"),
         done, lambda t: t.column("grp").to_numpy())
     return write_units(
         buckets, "grp", pair_dir,
-        lambda g: (pa.Table.from_pandas(pairs_fn(g), preserve_index=False),
+        lambda g: (pa.Table.from_pandas(dedupe._cell_pairs(g, banding),
+                                        preserve_index=False),
                    {"stage": "pairs", "n_input_rows": len(g)}),
         groups, done, fail_after, batch_format="pandas")
 
@@ -156,9 +153,8 @@ def checkpoint_pairs(out_dir: str, groups: int = 32,
     """MinHash stage 2: candidate-pair edges per salted (band, key)
     shuffle group."""
     return _checkpoint_pair_stage(
-        out_dir, dedupe.SIG_SCHEMA,
-        functools.partial(dedupe._explode_minhash_bands, groups=groups),
-        dedupe._bucket_pairs, groups, fail_after, {"family": "minhash"})
+        out_dir, dedupe.SIG_SCHEMA, dedupe.MINHASH, groups, fail_after,
+        {"family": "minhash"})
 
 
 def checkpoint_simhash_pairs(out_dir: str, groups: int = 32,
@@ -169,10 +165,7 @@ def checkpoint_simhash_pairs(out_dir: str, groups: int = 32,
     different threshold would permanently mark groups done with the
     wrong edge set)."""
     return _checkpoint_pair_stage(
-        out_dir, dedupe.SIMHASH_SCHEMA,
-        functools.partial(dedupe._explode_simhash_bands, groups=groups),
-        functools.partial(dedupe._simhash_band_pairs,
-                          max_hamming=max_hamming),
+        out_dir, dedupe.SIMHASH_SCHEMA, dedupe.simhash_banding(max_hamming),
         groups, fail_after,
         {"family": "simhash", "max_hamming": max_hamming})
 
@@ -217,7 +210,7 @@ def _labels_cached(labels_dir: str, params: dict, build_fn):
         # no label rows (a corpus without documents): write_parquet
         # writes no file, so the read-back gets one typed empty file
         os.makedirs(tmp_dir)
-        pq.write_table(_LABELS_SCHEMA.empty_table(),
+        pq.write_table(dedupe.LABELS_SCHEMA.empty_table(),
                        os.path.join(tmp_dir, "empty.parquet"))
     if os.path.isdir(data_dir):
         shutil.rmtree(data_dir)
@@ -244,40 +237,20 @@ def _cluster_labels(sf_dir: str, out_dir: str, params: dict, verify):
     return _labels_cached(os.path.join(out_dir, "labels"), params, build)
 
 
-def _read_embeddings_as_docs(sf_dir: str):
-    """embeddings table with vec_id presented as doc_id, so the
-    generic stage machinery (sha1(doc_id) partitioning, resume
-    filter) applies unchanged."""
-    import ray.data
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    return ds.map_batches(
-        lambda t: t.rename_columns(["doc_id", "embedding"]),
-        batch_format="pyarrow")
-
-
 def checkpoint_embedding_signatures(sf_dir: str, out_dir: str,
                                     parts: int = 16,
                                     fail_after: int | None = None
                                     ) -> dict:
-    """Embedding-LSH stage 1: persist ONE row per vector —
-    (doc_id, embedding, b0..b5 hyperplane buckets) — instead of the
-    pipeline's 6x-exploded band rows (6x less checkpoint storage; the
-    explode is recomputed cheaply at stage 2)."""
-    def sig(batch: pa.Table) -> pa.Table:
-        stage = dedupe.EmbeddingBucketStage(groups=1)
-        bucket = stage.bucket_matrix(batch)
-        cols = {"doc_id": batch.column("doc_id").cast(pa.int64()),
-                "embedding": batch.column("embedding")}
-        for tb in range(stage.tables):
-            cols[f"b{tb}"] = pa.array(bucket[:, tb], pa.int64())
-        return pa.table(cols)
-
+    """Embedding-LSH stage 1: persist the query path's ONE row per
+    vector — (doc_id, embedding, b0..b5 hyperplane buckets) — not the
+    6x-exploded cell rows (6x less checkpoint storage; the explode is
+    recomputed cheaply at stage 2)."""
     return _checkpoint_sig_stage(
-        sf_dir, os.path.join(out_dir, "sigs"), sig, parts, fail_after,
+        sf_dir, os.path.join(out_dir, "sigs"), dedupe._embedding_sig_batch,
+        parts, fail_after,
         {"family": "embedding", "tables": dedupe.EMB_TABLES,
          "sig_schema_version": SIG_SCHEMA_VERSION},
-        read_fn=_read_embeddings_as_docs)
+        read_fn=dedupe._read_embeddings)
 
 
 def checkpoint_embedding_pairs(out_dir: str, groups: int = 32,
@@ -286,16 +259,9 @@ def checkpoint_embedding_pairs(out_dir: str, groups: int = 32,
     """Embedding-LSH stage 2: cosine-verified pairs per salted
     (table, bucket) cell group from the persisted signatures;
     threshold is part of the resume contract."""
-    def explode(t: pa.Table) -> pa.Table:
-        bucket = np.stack([t.column(f"b{tb}").to_numpy()
-                           for tb in range(dedupe.EMB_TABLES)], axis=1)
-        return dedupe._explode_cells(t.column("doc_id"), bucket,
-                                     t.column("embedding"), groups)
-
     return _checkpoint_pair_stage(
-        out_dir, _EMBEDDING_SIG_SCHEMA, explode,
-        functools.partial(dedupe._embedding_cell_pairs, threshold=threshold),
-        groups, fail_after,
+        out_dir, dedupe.EMBEDDING_SIG_SCHEMA,
+        dedupe.embedding_banding(threshold), groups, fail_after,
         {"family": "embedding", "threshold": threshold})
 
 
@@ -304,10 +270,11 @@ def finish_embedding_pairs(out_dir: str):
     doc_b, max cosine) row per pair (a pair can collide in several
     tables). Cheap relative to stage 2; rebuilt each run."""
     pairs, buckets = _read_units(os.path.join(out_dir, "pairs"),
-                                 _COSINE_PAIRS_SCHEMA)
+                                 dedupe.COSINE_SCHEMA)
     if buckets is None:
         return pairs
-    return dedupe._max_cosine_pairs(pairs, buckets)
+    return dedupe._collapse_pairs(pairs, buckets, dedupe.COSINE_SCHEMA,
+                                  "max")
 
 
 def run_checkpointed_embedding_near_dup(
@@ -367,11 +334,11 @@ def finish_dedup_keep(sf_dir: str, out_dir: str,
                               dedupe.SIG_SCHEMA)
         sigs = sigs.select_columns(["doc_id", "sig"]).materialize()
         return dedupe.estimate_pairs(
-            dedupe._distinct_pairs(pairs, buckets), sigs, threshold)
+            dedupe._collapse_pairs(pairs, buckets), sigs, threshold)
 
     return dedupe._keepers(_cluster_labels(
         sf_dir, out_dir, {"family": "minhash", "threshold": threshold},
-        verified))
+        verified), sf_dir)
 
 
 def finish_simhash_clusters(sf_dir: str, out_dir: str,
@@ -382,7 +349,7 @@ def finish_simhash_clusters(sf_dir: str, out_dir: str,
     (doc_id, cluster_id) Dataset (mirrors dedupe.simhash_dedup_clusters)."""
     return _cluster_labels(
         sf_dir, out_dir, {"family": "simhash", "max_hamming": max_hamming},
-        lambda pairs, buckets: dedupe._distinct_pairs(
+        lambda pairs, buckets: dedupe._collapse_pairs(
             pairs.select_columns(["doc_a", "doc_b"]), buckets))
 
 

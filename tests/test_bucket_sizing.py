@@ -150,10 +150,8 @@ def test_salted_pair_groups_grow_with_corpus(tmp_path):
     pd.DataFrame({"doc_id": np.arange(100, dtype="int64"),
                   "text": ["w"] * 100}).to_parquet(
         f"{d}/documents.parquet")
-    small = _salted_groups(d, None, "documents", 16, 24)
+    small = _salted_groups(d, "documents", 16, 24)
     assert small == shuffle_groups()  # tiny corpus stays at the floor
-    # an explicit count wins (the checkpointed flow persists its own)
-    assert _salted_groups(d, 7, "documents", 16, 24) == 7
     # a corpus big enough to exceed the floor derives a larger count
     from pgstosrt_ray.pipelines.reduce import buckets_for
     rows_needed = (shuffle_groups() + 1) * TARGET_BUCKET_DISK_BYTES \

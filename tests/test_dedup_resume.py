@@ -409,10 +409,20 @@ def test_zero_documents(ray_session, tmp_path, zero_docs_dir):
     without data; each family's checkpointed run, and its rerun over
     the completed units, then returns what its query path returns (the
     pair stage used to hand read_parquet an empty file list: 'Must
-    provide at least one path.')."""
+    provide at least one path.'). Every near-dup query path answers
+    the empty corpus with a typed result: the columns of its answer on
+    a corpus with documents (a map over zero rows keeps no schema)."""
     from pgstosrt_ray.pipelines import dedupe
     from pgstosrt_ray.state import dedup_checkpoint as dc
     d = zero_docs_dir
+    for query in (dedupe.minhash_candidate_pairs,
+                  dedupe.minhash_dedup_clusters, dedupe.minhash_dedup_keep,
+                  dedupe.simhash_near_dup_pairs,
+                  dedupe.simhash_dedup_clusters,
+                  dedupe.embedding_near_dup_pairs):
+        empty = query(d).schema()
+        assert (empty and empty.names) == _columns(query(SF_DIR)), \
+            query.__name__
     for run, query in (
             (dc.run_checkpointed_dedup, dedupe.minhash_dedup_keep),
             (dc.run_checkpointed_simhash, dedupe.simhash_dedup_clusters),

@@ -347,11 +347,22 @@ def _calls(attr: str):
             yield module, fn, node
 
 
+def _groupby_key(node):
+    """The constant key of a ``.groupby(<key>).map_groups(`` call node
+    (None for any other receiver)."""
+    import ast
+    grp = node.func.value
+    return (grp.args[0].value
+            if isinstance(grp, ast.Call)
+            and getattr(grp.func, "attr", "") == "groupby"
+            and grp.args and isinstance(grp.args[0], ast.Constant)
+            else None)
+
+
 class TestOneShuffleOneFold:
     def test_keyed_map_groups_go_through_bucketed_group_agg(self):
         # a per-key groupby whose key domain grows with the corpus
         # must use the one keyed-bucket shuffle, bucketed_group_agg
-        import ast
         sites, bad = 0, []
         for module, fn, node in _calls("map_groups"):
             if not module.startswith("pipelines/"):
@@ -359,12 +370,7 @@ class TestOneShuffleOneFold:
             sites += 1
             if (module, fn) == ("pipelines/reduce", "bucketed_group_agg"):
                 continue
-            grp = node.func.value
-            key = (grp.args[0].value
-                   if isinstance(grp, ast.Call)
-                   and getattr(grp.func, "attr", "") == "groupby"
-                   and grp.args and isinstance(grp.args[0], ast.Constant)
-                   else None)
+            key = _groupby_key(node)
             if (module.split("/")[-1], key) not in _MAP_GROUPS_ALLOWED:
                 bad.append(f"{module}:{node.lineno} groupby({key!r})")
         assert sites >= 8
@@ -374,6 +380,30 @@ class TestOneShuffleOneFold:
         # agg_topk, agg_group_topk and agg_fold_blobs share one fold
         sites = [(m, fn) for m, fn, _node in _calls("AggregateFn")]
         assert sites == [("pipelines/reduce", "_fold")]
+
+
+class TestOneBandShuffle:
+    """MinHash, SimHash and embedding-LSH share one banded
+    candidate-pair path: one explode, one salted band shuffle and one
+    cell kernel in pipelines/dedupe.py."""
+
+    @staticmethod
+    def _functions(calls) -> set:
+        return {(m, fn) for m, fn, _node in calls
+                if m.startswith("pipelines/")}
+
+    def test_one_explode_and_one_band_shuffle(self):
+        salted = self._functions(_calls("salt_bucket"))
+        shuffled = self._functions(
+            c for c in _calls("map_groups") if _groupby_key(c[2]) == "grp")
+        for sites in (salted, shuffled):
+            assert len(sites) == 1, sites
+            assert next(iter(sites))[0] == "pipelines/dedupe", sites
+
+    def test_one_cell_kernel(self):
+        kernels = {(m, fn) for m, fn, _node in _calls("triu_indices")
+                   if m == "pipelines/dedupe"}
+        assert len(kernels) == 1, kernels
 
 
 def _table_of(ds) -> pa.Table:
@@ -525,7 +555,6 @@ _RAY_PUT_ALLOWED = {
     ("pipelines/extended", "q_semi_join_bloom"),
     ("pipelines/extended", "q_decontaminate"),
     ("pipelines/extended", "q_percent_rank_chars"),
-    ("pipelines/similarity", "brute_force_topk"),
     ("pipelines/similarity", "brute_force_topk_multi"),
     ("pipelines/dedupe", "_propagate_broadcast"),
     ("pipelines/webops", "q_unigram_logprob"),
