@@ -13,15 +13,14 @@ hash(key) % B (never raw high-cardinality keys), joins sized by
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import token_rows
-from .reduce import (attach, bucketed_group_agg, buckets_for, input_bytes,
+from .reduce import (agg_fold_blobs, agg_group_sum, attach,
+                     bucketed_group_agg, buckets_for, input_bytes,
                      join_sizing, materialize_nonempty, parquet_rows)
 from .relational import _read
 
@@ -60,32 +59,27 @@ SQL_LEFT_OUTER_JOIN = (
 
 
 # --- J-family completion: FULL OUTER join --------------------------------
-def q_full_outer_join(sf_dir: str):
+def q_full_outer_join(sf_dir: str) -> pa.Table:
     """Per-nation customer vs supplier counts, keeping nations present
-    on either side only (both inputs pre-aggregated: the full-outer
-    shuffle moves one row per nation, not per customer)."""
-    from ray.data.aggregate import Count
-    cust = materialize_nonempty(
-        _read(sf_dir, "customer", columns=["c_nationkey"])
-        .groupby("c_nationkey").aggregate(Count(alias_name="n_cust")))
-    supp = materialize_nonempty(
-        _read(sf_dir, "supplier", columns=["s_nationkey"])
-        .groupby("s_nationkey").aggregate(Count(alias_name="n_supp")))
-    j = cust.join(supp, "full_outer",
-                  **join_sizing(cust.size_bytes() + supp.size_bytes()),
-                  on=("c_nationkey",), right_on=("s_nationkey",))
-
-    def finish(t: pa.Table) -> pa.Table:
-        # Ray's full_outer join emits ONE merged key column under the
-        # left-side name (already coalesced across sides)
-        zero = pa.scalar(0, pa.int64())
-        return pa.table({
-            "nationkey": t.column("c_nationkey").cast(pa.int64()),
-            "n_cust": pc.coalesce(t.column("n_cust"), zero).cast(pa.int64()),
-            "n_supp": pc.coalesce(t.column("n_supp"), zero).cast(pa.int64()),
-        })
-
-    return j.map_batches(finish, batch_format="pyarrow")
+    on either side only. Both inputs fold to at most one row per nation
+    on the driver (reduce.agg_group_sum), so the full outer join of
+    those two small tables runs there in Arrow, not as a cluster
+    shuffle; an empty side keeps the other side's nations with a 0
+    count, as the SQL does."""
+    cust = agg_group_sum(_read(sf_dir, "customer", columns=["c_nationkey"]),
+                         ["c_nationkey"], {"n_cust": None})
+    supp = agg_group_sum(_read(sf_dir, "supplier", columns=["s_nationkey"]),
+                         ["s_nationkey"], {"n_supp": None})
+    # Arrow's full outer join keeps ONE key column under the left-side
+    # name (coalesced across sides), typed as the nation key columns,
+    # like the oracle's COALESCE
+    t = cust.join(supp, "c_nationkey", "s_nationkey", join_type="full outer")
+    zero = pa.scalar(0, pa.int64())
+    return pa.table({
+        "nationkey": t.column("c_nationkey"),
+        "n_cust": pc.coalesce(t.column("n_cust"), zero),
+        "n_supp": pc.coalesce(t.column("n_supp"), zero),
+    }).sort_by("nationkey")
 
 
 SQL_FULL_OUTER_JOIN = (
@@ -249,34 +243,27 @@ SQL_SAMPLE_PER_KEY = (
 
 
 # --- rollup (multi-level aggregate) --------------------------------------
-def q_rollup_counts(sf_dir: str):
+def q_rollup_counts(sf_dir: str) -> pa.Table:
     """GROUP BY ROLLUP(l_returnflag, l_linestatus): the leaf level is
-    one distributed groupby; the coarser levels derive from the LEAF
-    aggregate (25ish rows), never from a second corpus scan."""
-    from ray.data.aggregate import Count
+    one distributed grouped count; the coarser levels derive from the
+    LEAF aggregate (25ish rows), never from a second corpus scan."""
     ds = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_linestatus"])
-    leaf = ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Count(alias_name="n"))
-
-    def widen(t: pa.Table) -> pa.Table:
-        # leaf is tiny (distinct pair count): derive flag-level and
-        # grand-total rows in one pass
-        df = t.to_pandas()
-        lvl1 = (df.groupby("l_returnflag", as_index=False)["n"].sum())
-        lvl1["l_linestatus"] = None
-        total = pd.DataFrame({"l_returnflag": [None],
-                              "l_linestatus": [None],
-                              "n": [df["n"].sum()]})
-        out = pd.concat([df, lvl1[["l_returnflag", "l_linestatus", "n"]],
-                         total], ignore_index=True)
-        return pa.table({
-            "l_returnflag": pa.array(out["l_returnflag"], pa.string()),
-            "l_linestatus": pa.array(out["l_linestatus"], pa.string()),
-            "n": pa.array(out["n"].astype("int64"), pa.int64())})
-
-    return leaf.repartition(1).map_batches(widen, batch_format="pyarrow",
-                                           batch_size=None)
+    # leaf is tiny (distinct pair count): derive flag-level and
+    # grand-total rows in one pass
+    df = agg_group_sum(ds, ["l_returnflag", "l_linestatus"],
+                       {"n": None}).to_pandas()
+    lvl1 = (df.groupby("l_returnflag", as_index=False)["n"].sum())
+    lvl1["l_linestatus"] = None
+    total = pd.DataFrame({"l_returnflag": [None],
+                          "l_linestatus": [None],
+                          "n": [df["n"].sum()]})
+    out = pd.concat([df, lvl1[["l_returnflag", "l_linestatus", "n"]],
+                     total], ignore_index=True)
+    return pa.table({
+        "l_returnflag": pa.array(out["l_returnflag"], pa.string()),
+        "l_linestatus": pa.array(out["l_linestatus"], pa.string()),
+        "n": pa.array(out["n"].astype("int64"), pa.int64())})
 
 
 SQL_ROLLUP_COUNTS = (
@@ -317,31 +304,25 @@ def q_approx_quantiles(sf_dir: str):
     unbounded-domain companion to grouped_median's exact histogram):
     bucket = floor(16*log2(v)) caps relative error at 2^(1/16)-1
     (~4.4%) with a few hundred buckets regardless of corpus size.
-    Per-batch bincount partials -> one small groupby -> bounded
-    driver walk. Value-checked against the independent golden oracle
-    (golden.py); error vs the exact quantile is pinned by test."""
-    from ray.data.aggregate import Sum
+    Per-block bucket counts fold to one small table (reduce.
+    agg_group_sum) -> bounded driver walk. Value-checked against the
+    independent golden oracle (golden.py); error vs the exact quantile
+    is pinned by test. An empty table has no quantiles: zero rows."""
     ds = _read(sf_dir, "lineitem", columns=["l_extendedprice"])
 
-    def hist(t: pa.Table) -> pa.Table:
+    def bucket(t: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(
             t.column("l_extendedprice"), 100.0)), pa.int64()).to_numpy()
-        b, n = np.unique(_qsk_buckets(cents), return_counts=True)
-        return pa.table({"bucket": pa.array(b, pa.int64()),
-                         "n": pa.array(n.astype(np.int64), pa.int64())})
+        return pa.table({"bucket": _qsk_buckets(cents)})
 
-    hist_ds = (ds.map_batches(hist, batch_format="pyarrow")
-               .groupby("bucket").aggregate(Sum("n", alias_name="n")))
-    df = hist_ds.to_pandas().sort_values("bucket")  # bounded: few hundred
-    cum = df["n"].cumsum().to_numpy()
-    total = int(cum[-1])
-    qs, ests = [], []
-    for q in (0.5, 0.9, 0.99):
-        rank = int(np.ceil(q * total))
-        b = int(df["bucket"].to_numpy()[np.searchsorted(cum, rank)])
-        qs.append(q)
-        # bucket midpoint in log space
-        ests.append(float(2.0 ** ((b + 0.5) / QSK_BITS)))
+    hist = agg_group_sum(ds, ["bucket"], {"n": None}, of_batch=bucket)
+    cum = np.cumsum(hist.column("n").to_numpy())   # bounded: few hundred
+    bks = hist.column("bucket").to_numpy()
+    qs = [0.5, 0.9, 0.99] if len(cum) else []
+    ranks = [int(np.ceil(q * int(cum[-1]))) for q in qs]
+    # bucket midpoint in log space
+    ests = [float(2.0 ** ((int(bks[np.searchsorted(cum, r)]) + 0.5)
+                          / QSK_BITS)) for r in ranks]
     return pa.table({"q": pa.array(qs, pa.float64()),
                      "est_cents": pa.array(ests, pa.float64())})
 # oracle: independent golden (golden.py golden_approx_quantiles)
@@ -395,32 +376,21 @@ def q_grouped_approx_quantiles(sf_dir: str):
 
 
 # --- moments: integer-exact sum/sumsq per group --------------------------
-def q_value_stats(sf_dir: str):
+def q_value_stats(sf_dir: str) -> pa.Table:
     """Per-type count / sum / sum-of-squares over integer milli-values
-    (the moments an engine needs for mean/variance downstream):
-    per-batch partial sums (map-side combine), final groupby over the
-    small fixed event-type domain. All-integer arithmetic keeps both
-    engines bit-exact regardless of order."""
-    from ray.data.aggregate import Sum
+    (the moments an engine needs for mean/variance downstream), one
+    grouped sum over the small fixed event-type domain. All-integer
+    arithmetic keeps both engines bit-exact regardless of order."""
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def milli(t: pa.Table) -> pa.Table:
         vm = pc.cast(pc.round(pc.multiply(t.column("value"), 1000.0)),
-                     pa.int64()).to_numpy()
-        df = pd.DataFrame({"event_type":
-                           t.column("event_type").to_pylist(),
-                           "vm": vm, "vm2": vm * vm})
-        g = df.groupby("event_type", as_index=False).agg(
-            n=("vm", "count"), sum_milli=("vm", "sum"),
-            sumsq_milli=("vm2", "sum"))
-        g["n"] = g["n"].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False)
+                     pa.int64())
+        return pa.table({"event_type": t.column("event_type"), "vm": vm,
+                         "vm2": pc.multiply(vm, vm)})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("event_type").aggregate(
-                Sum("n", alias_name="n"),
-                Sum("sum_milli", alias_name="sum_milli"),
-                Sum("sumsq_milli", alias_name="sumsq_milli")))
+    return agg_group_sum(ds, ["event_type"], {
+        "n": None, "sum_milli": "vm", "sumsq_milli": "vm2"}, of_batch=milli)
 
 
 SQL_VALUE_STATS = (
@@ -433,11 +403,10 @@ SQL_VALUE_STATS = (
 
 
 # --- fixed-width value histogram -----------------------------------------
-def q_value_histogram(sf_dir: str, width: float = 50.0):
+def q_value_histogram(sf_dir: str, width: float = 50.0) -> pa.Table:
     """Value distribution in fixed-width bins — the dashboard staple;
-    bin domain is value-range/width (small, fixed), so the final
-    groupby is a ds.groupby."""
-    from ray.data.aggregate import Count
+    bin domain is value-range/width (small, fixed), so the count is
+    one reduce.agg_group_sum."""
     ds = _read(sf_dir, "events", columns=["value"])
 
     def binned(t: pa.Table) -> pa.Table:
@@ -445,8 +414,7 @@ def q_value_histogram(sf_dir: str, width: float = 50.0):
                     pa.int64())
         return pa.table({"bin": b})
 
-    return (ds.map_batches(binned, batch_format="pyarrow")
-            .groupby("bin").aggregate(Count(alias_name="n")))
+    return agg_group_sum(ds, ["bin"], {"n": None}, of_batch=binned)
 
 
 SQL_VALUE_HISTOGRAM = (
@@ -455,9 +423,8 @@ SQL_VALUE_HISTOGRAM = (
 
 
 # --- per-day activity ----------------------------------------------------
-def q_events_per_day(sf_dir: str):
+def q_events_per_day(sf_dir: str) -> pa.Table:
     """Daily event counts (date_trunc day — small fixed domain)."""
-    from ray.data.aggregate import Count
     ds = _read(sf_dir, "events", columns=["ts"])
 
     def day(t: pa.Table) -> pa.Table:
@@ -466,8 +433,7 @@ def q_events_per_day(sf_dir: str):
         # timestamp[us] (the oracle CASTs back to TIMESTAMP)
         return pa.table({"day": d.cast(pa.timestamp("us"))})
 
-    return (ds.map_batches(day, batch_format="pyarrow")
-            .groupby("day").aggregate(Count(alias_name="n")))
+    return agg_group_sum(ds, ["day"], {"n": None}, of_batch=day)
 
 
 SQL_EVENTS_PER_DAY = (
@@ -476,11 +442,10 @@ SQL_EVENTS_PER_DAY = (
 
 
 # --- grouped COUNT(DISTINCT) ---------------------------------------------
-def q_distinct_users_per_type(sf_dir: str):
+def q_distinct_users_per_type(sf_dir: str) -> pa.Table:
     """Exact distinct users per event type: map-side unique pairs per
     batch (combine), distinct pairs via groupby, then a count per
     type — only unique pairs ever shuffle."""
-    from ray.data.aggregate import Sum
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
     def uniq(t: pa.Table) -> pa.Table:
@@ -488,8 +453,8 @@ def q_distinct_users_per_type(sf_dir: str):
                 .aggregate([]))
 
     # (type, user) cardinality grows with the corpus => bucketed
-    # distinct + per-bucket partial counts; the FINAL groupby runs
-    # over n_types x n_buckets tiny rows (small fixed domain)
+    # distinct + per-bucket partial counts; the FINAL sum runs over
+    # n_types x n_buckets tiny rows (small fixed domain)
     partial = bucketed_group_agg(
         ds.map_batches(uniq, batch_format="pyarrow"),
         ["event_type", "user_id"],
@@ -497,8 +462,10 @@ def q_distinct_users_per_type(sf_dir: str):
         .groupby("event_type", as_index=False)
         .agg(n_users=("user_id", "count")),
         est_bytes=input_bytes(f"{sf_dir}/events.parquet"))
-    return partial.groupby("event_type").aggregate(
-        Sum("n_users", alias_name="n_users"))
+    return agg_group_sum(
+        partial, ["event_type"], {"n_users": "n_users"},
+        of_batch=lambda t: t.cast(pa.schema({"event_type": pa.string(),
+                                             "n_users": pa.int64()})))
 
 
 SQL_DISTINCT_USERS_PER_TYPE = (
@@ -534,23 +501,20 @@ def _bloom_test(filt: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return ok
 
 
-def q_semi_join_bloom(sf_dir: str):
-    """Semi join with a RUNTIME BLOOM FILTER pushdown: the right
-    side's key set folds into a 128 KiB bloom (per-batch partial
-    filters OR-merged in-cluster via reduce.agg_fold_blobs — the
-    driver sees ONE blob), the filter broadcasts once (ray.put), and
-    the big left side drops non-matching rows BEFORE the shuffle; the
-    exact semi join then removes bloom false positives. At 100 TB
-    this is the difference between shuffling the whole probe side and
-    shuffling the ~matching fraction. Output identical to the plain
-    semi join (same SQL oracle)."""
+def _bloom_prefilter(build, build_key: str, probe, probe_key: str,
+                     key_hash):
+    """The rows of ``probe`` whose ``probe_key`` may occur in
+    ``build``'s ``build_key`` column (a RUNTIME BLOOM FILTER, false
+    positives included): ``key_hash(column) -> integer ndarray`` hashes
+    a key column of an Arrow batch; ``build``'s keys fold into one
+    128 KiB bloom (per-batch partial filters OR-merged in-cluster via
+    reduce.agg_fold_blobs — the driver sees ONE blob), the filter
+    broadcasts once (ray.put), and each probe batch drops the rows it
+    rules out. Output keeps the probe batches' (Arrow) types."""
     import ray
-    from .reduce import agg_fold_blobs
-
-    keys_ds = _read(sf_dir, "orders", columns=["o_custkey"])
 
     def partial_bloom(t: pa.Table) -> pa.Table:
-        filt = _bloom_of(t.column("o_custkey").to_numpy())
+        filt = _bloom_of(key_hash(t.column(build_key)))
         return pa.table({"bloom": pa.array([filt.tobytes()], pa.binary())})
 
     def or_merge(blobs) -> bytes:
@@ -560,18 +524,29 @@ def q_semi_join_bloom(sf_dir: str):
         return out.tobytes()
 
     blob = agg_fold_blobs(
-        keys_ds.map_batches(partial_bloom, batch_format="pyarrow"),
+        build.map_batches(partial_bloom, batch_format="pyarrow"),
         "bloom", or_merge)
     filt_ref = ray.put(np.frombuffer(blob, dtype=np.uint8))
 
-    ds = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-
     def prefilter(t: pa.Table) -> pa.Table:
-        f = ray.get(filt_ref)
-        keep = _bloom_test(f, t.column("c_custkey").to_numpy())
+        keep = _bloom_test(ray.get(filt_ref), key_hash(t.column(probe_key)))
         return t.filter(pa.array(keep, pa.bool_()))
 
-    survivors = ds.map_batches(prefilter, batch_format="pyarrow")
+    return probe.map_batches(prefilter, batch_format="pyarrow")
+
+
+def q_semi_join_bloom(sf_dir: str):
+    """Semi join with a RUNTIME BLOOM FILTER pushdown
+    (``_bloom_prefilter``): the big left side drops non-matching rows
+    BEFORE the shuffle; the exact semi join then removes bloom false
+    positives. At 100 TB this is the difference between shuffling the
+    whole probe side and shuffling the ~matching fraction. Output
+    identical to the plain semi join (same SQL oracle)."""
+    keys_ds = _read(sf_dir, "orders", columns=["o_custkey"])
+    survivors = _bloom_prefilter(
+        keys_ds, "o_custkey",
+        _read(sf_dir, "customer", columns=["c_custkey", "c_name"]),
+        "c_custkey", lambda c: c.to_numpy())
     # exact semi join on the (much smaller) surviving probe side
     distinct_keys = materialize_nonempty(keys_ds.map_batches(
         lambda t: pa.TableGroupBy(t, "o_custkey").aggregate([]),
@@ -726,51 +701,27 @@ def q_decontaminate(sf_dir: str, n: int = CONTAM_N):
     doc ids reduce through a bucketed distinct. Only candidate grams
     cross the wire; texts never enter a shuffle. (At real scale the
     bloom is sized to the benchmark's gram cardinality.)"""
-    import ray
-    from .reduce import agg_fold_blobs
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    is_bench = f"doc_id % {BENCH_MOD} == 0"
 
-    def bench_grams(df: pd.DataFrame) -> pd.DataFrame:
-        return _word_ngrams(df[df["doc_id"] % BENCH_MOD == 0], n)
-
-    def probe_grams(df: pd.DataFrame) -> pd.DataFrame:
-        return _word_ngrams(df[df["doc_id"] % BENCH_MOD != 0], n)
-
-    bgrams = ds.map_batches(bench_grams, batch_format="pandas")
-
-    def partial_bloom(df: pd.DataFrame) -> pa.Table:
-        h = pd.util.hash_array(df["g"].to_numpy())
-        return pa.table({"bloom": pa.array([_bloom_of(h).tobytes()],
-                                           pa.binary())})
-
-    def or_merge(blobs) -> bytes:
-        out = np.zeros(BLOOM_BITS // 8, dtype=np.uint8)
-        for b in blobs:
-            out |= np.frombuffer(b, dtype=np.uint8)
-        return out.tobytes()
-
-    blob = agg_fold_blobs(
-        bgrams.map_batches(partial_bloom, batch_format="pandas"),
-        "bloom", or_merge)
-    filt_ref = ray.put(np.frombuffer(blob, dtype=np.uint8))
-
-    def prefilter(df: pd.DataFrame) -> pa.Table:
-        f = ray.get(filt_ref)
-        keep = _bloom_test(f, pd.util.hash_array(df["g"].to_numpy()))
-        # typed arrow out: when the filter drops EVERYTHING (zero
+    def grams(df: pd.DataFrame) -> pa.Table:
+        # typed arrow out: when the prefilter drops EVERYTHING (zero
         # contamination) the materialized empty block still declares
         # (doc_id, g) so the downstream join resolves its key fields
-        return pa.table({"doc_id": pa.array(df["doc_id"][keep],
-                                            pa.int64()),
-                         "g": pa.array(df["g"][keep], pa.string())})
+        g = _word_ngrams(df, n)
+        return pa.table({"doc_id": pa.array(g["doc_id"], pa.int64()),
+                         "g": pa.array(g["g"], pa.string())})
 
+    bgrams = ds.map_batches(
+        lambda df: grams(df[df["doc_id"] % BENCH_MOD == 0]),
+        batch_format="pandas")
     # the prefilter empties most blocks => scrub before the join
     # (Ray 2.49 schemaless-empty-block gotcha, reduce.materialize_nonempty)
-    cand = materialize_nonempty(
-        ds.map_batches(probe_grams, batch_format="pandas")
-        .map_batches(prefilter, batch_format="pandas"))
+    cand = materialize_nonempty(_bloom_prefilter(
+        bgrams, "g",
+        ds.map_batches(lambda df: grams(df[df["doc_id"] % BENCH_MOD != 0]),
+                       batch_format="pandas"),
+        "g", lambda c: pd.util.hash_array(c.to_numpy())))
+
     def nonbench_ids(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy()
         return t.filter(pa.array(ids % BENCH_MOD != 0, pa.bool_()))
@@ -796,10 +747,7 @@ def q_decontaminate(sf_dir: str, n: int = CONTAM_N):
     # bench side skips a global-distinct shuffle: per-doc dedup already
     # happened in _word_ngrams, and the join's hash build absorbs the
     # remaining cross-doc duplicates
-    bench_keys = materialize_nonempty(
-        bgrams.map_batches(
-            lambda df: pa.table({"g": pa.array(df["g"], pa.string())}),
-            batch_format="pandas"))
+    bench_keys = materialize_nonempty(bgrams.select_columns(["g"]))
     hits = materialize_nonempty(
         cand.join(bench_keys, "left_semi",
                   **join_sizing(cand.size_bytes() + bench_keys.size_bytes()),

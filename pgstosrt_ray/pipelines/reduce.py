@@ -7,11 +7,14 @@ batches). Here the partials are reduced INSIDE the cluster through a
 single-shuffle fold, so driver traffic is O(k) rows (top-k) or one fixed
 blob (fold), regardless of input size.
 
-``agg_topk`` / ``agg_group_topk`` / ``agg_fold_blobs`` share one
-custom ``AggregateFn`` fold (``_fold``): map tasks fold each block into
-a <=k-row / one-blob state, the aggregate's reduce merges states
-pairwise; ONE shuffle op, no barriers (measured 0.7 s vs 2.0 s for an
-explicit repartition tree on sf0.1 topk_sort).
+``agg_topk`` / ``agg_group_topk`` / ``agg_fold_blobs`` /
+``agg_group_sum`` share one custom ``AggregateFn`` fold (``_fold``):
+map tasks fold each block into a <=k-row / one-blob / one-row-per-group
+state, the aggregate's reduce merges states pairwise; ONE shuffle op,
+no barriers (measured 0.7 s vs 2.0 s for an explicit repartition tree
+on sf0.1 topk_sort). ``agg_group_sum`` is the grouped sum of bounded
+key domains, ``bucketed_group_agg`` the grouped aggregation of key
+domains that grow with the corpus.
 
 ``attach`` is the one keyed re-attach (a counted broadcast below
 ``BROADCAST_BYTES``, sized hash joins above it) and
@@ -274,6 +277,53 @@ def agg_fold_blobs(ds, col: str, merge_fn) -> bytes:
     return merge_fn([]) if st is None else st
 
 
+def agg_group_sum(ds, keys, sums: dict, of_batch=None) -> pa.Table:
+    """The one grouped sum for BOUNDED key domains (flags, statuses,
+    event types, days, histogram cells), through ``_fold``: each block
+    folds to its Arrow ``group_by(keys)`` partial, states merge
+    pairwise in the cluster by concat + ``group_by`` sum, and the
+    driver receives one table with at most one row per group, sorted
+    on ``keys``. ``sums`` maps each output column to a source column,
+    or to None to count rows (``{}`` gives the distinct keys).
+
+    ``of_batch(t) -> pa.Table`` derives the key and source columns of
+    each (Arrow) block inside the fold, with no map stage of its own;
+    a zero-row ``ds`` runs it on its typed empty table, so an empty
+    answer has the types a non-empty one has. Where ``ds``'s plan
+    loses the schema over zero rows (a shuffle or union of pandas
+    blocks), the empty table has null-typed key and source columns
+    and ``of_batch`` casts them. Blocks may be pandas or Arrow."""
+    import pickle
+
+    keys, outs = list(keys), list(sums)
+    named = [f"{o}_sum" for o in outs]
+
+    def group(t: pa.Table) -> pa.Table:
+        return (t.group_by(keys).aggregate([(o, "sum") for o in outs])
+                .select(keys + named).rename_columns(keys + outs))
+
+    def partial(t: pa.Table) -> pa.Table:
+        t = t if of_batch is None else of_batch(t)
+        ones = pa.array(np.ones(t.num_rows, np.int64))
+        return group(pa.table(
+            [t.column(k) for k in keys]
+            + [ones if s is None else t.column(s) for s in sums.values()],
+            names=keys + outs))
+
+    def of_block(blk) -> bytes:
+        if not len(blk):
+            return b""
+        if not isinstance(blk, pa.Table):
+            blk = pa.Table.from_pandas(blk, preserve_index=False)
+        return pickle.dumps(partial(blk))
+
+    st = _fold(ds, of_block, lambda sts: pickle.dumps(group(
+        pa.concat_tables([pickle.loads(s) for s in sts if s]))))
+    out = (pickle.loads(st) if st is not None else partial(_empty_arrow_like(
+        ds, keys + [s for s in sums.values() if s is not None])))
+    return out.sort_by([(k, "ascending") for k in keys])
+
+
 def bucketed_group_agg(ds, key_cols, agg_fn, buckets: int | None = None,
                        est_bytes: int | None = None,
                        domain_bound: str | None = None,
@@ -287,8 +337,8 @@ def bucketed_group_agg(ds, key_cols, agg_fn, buckets: int | None = None,
     for this pattern on a 537k-row/36k-group distinct (BASELINE.md
     round-3 addendum). Any groupby whose group count grows with the
     corpus (fingerprints, tokens, users, candidate pairs, histogram
-    cells) must come through here; ``ds.groupby`` stays right for
-    small fixed key domains (status codes, flags).
+    cells) must come through here; small fixed key domains (status
+    codes, flags) sum through ``agg_group_sum``.
 
     ``agg_fn(bucket_df) -> DataFrame`` runs per bucket and must stay
     vectorized (pandas groupby agg, or a per-key ordered computation:
@@ -355,13 +405,15 @@ def bucketed_group_agg(ds, key_cols, agg_fn, buckets: int | None = None,
 def materialize_nonempty(ds, fallback_schema: pa.Schema | None = None):
     """materialize() + drop schemaless empty blocks.
 
-    Ray 2.49's hash-shuffle operators (join, groupby aggregate) emit
-    EMPTY partitions as blocks with an empty schema; ``map_batches``
-    passes empty bundles through unprocessed, and a downstream JOIN
-    that happens to inspect one first dies with ``No match ... for
-    key field reference`` — a nondeterministic flake that grows with
-    partition count. Only object REFS pass through the driver here
-    (no block data), so this stays scale-safe."""
+    Ray 2.49's hash-shuffle operators (join, keyed ``map_groups``)
+    emit EMPTY partitions as blocks with an empty schema;
+    ``map_batches`` passes empty bundles through unprocessed, and a
+    downstream JOIN that happens to inspect one first dies with ``No
+    match ... for key field reference`` — a nondeterministic flake that
+    grows with partition count. Only object REFS pass through the
+    driver here (no block data), so this stays scale-safe. Grouped sums
+    over bounded key domains need no scrub: ``agg_group_sum`` returns
+    one driver table."""
     import ray.data
     mat = ds.materialize()
     refs = [ref for bundle in mat.iter_internal_ref_bundles()

@@ -8,7 +8,7 @@ oracle with identical column names/types (or an independent golden
 for the sketch), and the shared scale rules hold — pruned reads,
 partial aggregation before every shuffle, corpus-cardinality keys
 bucketed on hash(key) % B with data-sized B (reduce.buckets_for),
-fixed-small key domains allowed through ``ds.groupby``.
+fixed-small key domains summed by one fold (reduce.agg_group_sum).
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import md5_bucket_of_ids, sha1_u64, token_rows
-from .reduce import (agg_fold_blobs, agg_group_topk, attach,
-                     broadcast_fits, bucketed_group_agg, join_sizing,
-                     materialize_nonempty)
+from .reduce import (agg_fold_blobs, agg_group_sum, agg_group_topk,
+                     attach, broadcast_fits, bucketed_group_agg,
+                     join_sizing, materialize_nonempty)
 from .relational import _read, _table_bytes
 
 
@@ -66,40 +66,18 @@ SQL_EVENT_TYPE_PIVOT = (
 
 
 # --- per-source corpus stats ---------------------------------------------
-def q_source_stats(sf_dir: str):
+def q_source_stats(sf_dir: str) -> pa.Table:
     """Per-source doc count / char volume / mean length — the
     per-domain health report of a crawl. Source is a fixed small
-    domain, so per-batch partials reduce through Ray's hash aggregate
-    directly (<= n_sources rows per batch ever shuffle); the mean is
-    one exact-int division, bit-identical on any engine."""
-    from ray.data.aggregate import Sum
+    domain, so one grouped sum folds it (reduce.agg_group_sum: <=
+    n_sources rows per block ever shuffle); the mean is one exact-int
+    division, bit-identical on any engine."""
     ds = _read(sf_dir, "documents", columns=["source", "n_chars"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("source", as_index=False).agg(
-            n_docs=("n_chars", "count"), total_chars=("n_chars", "sum"))
-
-    # Ray's hash aggregate emits schemaless EMPTY partitions that
-    # map_batches passes through unconverted => scrub before the
-    # driver-facing cast (reduce.materialize_nonempty, refs only)
-    agg = materialize_nonempty(
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("source")
-        .aggregate(Sum(on="n_docs", alias_name="n_docs"),
-                   Sum(on="total_chars", alias_name="total_chars")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        n = t.column("n_docs").to_numpy().astype(np.int64)
-        tot = t.column("total_chars").to_numpy().astype(np.int64)
-        return pa.table({
-            "source": t.column("source"),
-            "n_docs": pa.array(n, pa.int64()),
-            "total_chars": pa.array(tot, pa.int64()),
-            "mean_chars": pa.array(tot.astype(np.float64) / n,
-                                   pa.float64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    t = agg_group_sum(ds, ["source"],
+                      {"n_docs": None, "total_chars": "n_chars"})
+    return t.append_column("mean_chars", pc.divide(
+        t.column("total_chars").cast(pa.float64()),
+        t.column("n_docs").cast(pa.float64())))
 
 
 SQL_SOURCE_STATS = (
@@ -399,37 +377,23 @@ WHERE rn = CAST(CEIL({P90_Q} * n) AS BIGINT)
 URL_SECTION_RE = r"^https?://[^/]+/[^/]+/([^/]+)/"
 
 
-def url_section_stats(corpus: str):
+def url_section_stats(corpus: str) -> pa.Table:
     """(section, n_pages, total_bytes) over the page corpus — section
-    domain is the URL layout's case-family set (fixed small), so
-    per-batch partials reduce through Ray's hash aggregate directly;
-    blob bytes are measured, never moved."""
-    from ray.data.aggregate import Sum
+    domain is the URL layout's case-family set (fixed small), so one
+    grouped sum folds it (reduce.agg_group_sum); blob bytes are
+    measured, never moved."""
     from ..sources.pages import read_pages
-    ds = read_pages(corpus, columns=["url", "html"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        sec = (df["url"].str.extract(URL_SECTION_RE, expand=False)
-               .fillna(""))
-        size = df["html"].str.len().astype("int64")
-        out = (pd.DataFrame({"section": sec, "b": size})
-               .groupby("section", as_index=False)
-               .agg(n_pages=("b", "count"), total_bytes=("b", "sum")))
-        return out
+    def sections(t: pa.Table) -> pa.Table:
+        sec = (t.column("url").to_pandas()
+               .str.extract(URL_SECTION_RE, expand=False).fillna(""))
+        return pa.table({"section": pa.array(sec, pa.string()),
+                         "b": pc.binary_length(t.column("html"))
+                         .cast(pa.int64())})
 
-    # scrub the hash aggregate's schemaless empty partitions (same
-    # driver-facing hygiene as source_stats)
-    agg = materialize_nonempty(
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("section")
-        .aggregate(Sum(on="n_pages", alias_name="n_pages"),
-                   Sum(on="total_bytes", alias_name="total_bytes")))
-    return agg.map_batches(
-        lambda t: pa.table({
-            "section": t.column("section"),
-            "n_pages": t.column("n_pages").cast(pa.int64()),
-            "total_bytes": t.column("total_bytes").cast(pa.int64())}),
-        batch_format="pyarrow")
+    return agg_group_sum(read_pages(corpus, columns=["url", "html"]),
+                         ["section"], {"n_pages": None, "total_bytes": "b"},
+                         of_batch=sections)
 
 
 def sql_url_section_stats(corpus: str) -> str:
@@ -443,14 +407,13 @@ def sql_url_section_stats(corpus: str) -> str:
 
 
 # --- per-source duplicate-rate report -------------------------------------
-def q_dup_rate_by_source(sf_dir: str, n: int = COVERAGE_N):
+def q_dup_rate_by_source(sf_dir: str, n: int = COVERAGE_N) -> pa.Table:
     """The "which crawl source is full of boilerplate" report:
     corpus duplicate-shingle counts rolled up per source. Composition
     of the dup_ngram_coverage machinery — the source label rides the
     per-doc partial rows through the same two shuffles (20 interned
     strings, no extra join), then one fixed-domain sum; the rate is
     exact-int division."""
-    from ray.data.aggregate import Sum
     from .extended import _word_ngrams
     ds = _read(sf_dir, "documents",
                columns=["doc_id", "source", "text"])
@@ -488,23 +451,15 @@ def q_dup_rate_by_source(sf_dir: str, n: int = COVERAGE_N):
         })
 
     both = ds.map_batches(totals, batch_format="pandas").union(dupp)
-    agg = materialize_nonempty(
-        both.groupby("source")
-        .aggregate(Sum(on="n_grams", alias_name="n_grams"),
-                   Sum(on="n_dup", alias_name="n_dup")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        tot = t.column("n_grams").to_numpy().astype(np.int64)
-        dup = t.column("n_dup").to_numpy().astype(np.int64)
-        rate = np.where(tot > 0,
-                        dup.astype(np.float64)
-                        / np.maximum(tot, 1).astype(np.float64), 0.0)
-        return pa.table({"source": t.column("source"),
-                         "n_grams": pa.array(tot, pa.int64()),
-                         "n_dup": pa.array(dup, pa.int64()),
-                         "dup_rate": pa.array(rate, pa.float64())})
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    t = agg_group_sum(both, ["source"], {"n_grams": "n_grams",
+                                         "n_dup": "n_dup"},
+                      of_batch=lambda t: t.cast(pa.schema({
+                          "source": pa.string(), "n_grams": pa.int64(),
+                          "n_dup": pa.int64()})))
+    tot, dup = t.column("n_grams").to_numpy(), t.column("n_dup").to_numpy()
+    rate = np.where(tot > 0, dup.astype(np.float64)
+                    / np.maximum(tot, 1).astype(np.float64), 0.0)
+    return t.append_column("dup_rate", pa.array(rate, pa.float64()))
 
 
 SQL_DUP_RATE_BY_SOURCE = f"""
@@ -1086,13 +1041,12 @@ def _nll_sketch_bucket(nll: np.ndarray) -> np.ndarray:
 def q_perplexity_buckets(sf_dir: str):
     """(doc_id, nll_per_tok, ppl_bucket head|middle|tail). Composes
     q_unigram_logprob (per-doc NLL, corpus-fit add-one unigram model)
-    with the log-histogram quantile sketch: per-batch bucket partials
-    -> one small groupby (bounded cells) -> driver walk yields the two
+    with the log-histogram quantile sketch: per-block bucket counts
+    fold to one small table (bounded cells) -> driver walk yields the two
     threshold BUCKET ids -> map-only tagging. Deterministic given the
     deterministic sketch; value-checked against the independent
     golden.golden_perplexity_buckets."""
     import ray.data
-    from ray.data.aggregate import Sum
     scored = materialize_nonempty(q_unigram_logprob(sf_dir))
     if not scored.count():     # empty corpus: no terciles to find
         return ray.data.from_arrow(pa.table({
@@ -1100,19 +1054,14 @@ def q_perplexity_buckets(sf_dir: str):
             "nll_per_tok": pa.array([], pa.float64()),
             "ppl_bucket": pa.array([], pa.string())}))
 
-    def hist(t: pa.Table) -> pa.Table:
-        b, n = np.unique(
-            _nll_sketch_bucket(t.column("nll_per_tok").to_numpy()),
-            return_counts=True)
-        return pa.table({"bucket": pa.array(b, pa.int64()),
-                         "n": pa.array(n.astype(np.int64), pa.int64())})
+    def bucket(t: pa.Table) -> pa.Table:
+        return pa.table({"bucket": _nll_sketch_bucket(
+            t.column("nll_per_tok").to_numpy())})
 
-    df = (scored.map_batches(hist, batch_format="pyarrow")
-          .groupby("bucket").aggregate(Sum("n", alias_name="n"))
-          .to_pandas().sort_values("bucket"))   # bounded: octave cells
-    cum = df["n"].cumsum().to_numpy()
+    hist = agg_group_sum(scored, ["bucket"], {"n": None}, of_batch=bucket)
+    cum = np.cumsum(hist.column("n").to_numpy())   # bounded: octave cells
     total = int(cum[-1])
-    bks = df["bucket"].to_numpy()
+    bks = hist.column("bucket").to_numpy()
     b33 = int(bks[np.searchsorted(cum, -(-total // 3))])
     b66 = int(bks[np.searchsorted(cum, -(-2 * total // 3))])
 

@@ -38,29 +38,19 @@ run computes what the query computes by construction.
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 import time
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..pipelines import dedupe
 from .checkpoint import (_read_json, _write_json, completed_partitions,
-                         skip_done, stage_guard, unit_files, write_units)
+                         partition_ids, skip_done, stage_guard, unit_files,
+                         write_units)
 
 SIG_SCHEMA_VERSION = 1
 _PREP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("split", pa.string())])
-
-
-def _pid_of_ids(ids, parts: int):
-    """Stable partition id per doc_id (sha1 of the decimal id — no
-    process hashing, identical across runs/processes)."""
-    return np.fromiter(
-        (int.from_bytes(hashlib.sha1(str(int(i)).encode()).digest()[:8],
-                        "big") % parts for i in ids),
-        dtype=np.int32, count=len(ids))
 
 
 def _checkpoint_sig_stage(sf_dir: str, sig_dir: str, sig_batch_fn,
@@ -74,7 +64,9 @@ def _checkpoint_sig_stage(sf_dir: str, sig_dir: str, sig_batch_fn,
     done = stage_guard(sig_dir, {"parts": parts, **stage_params})
 
     def pids(batch: pa.Table):
-        return _pid_of_ids(batch.column("doc_id").to_pylist(), parts)
+        # the unit id is the flagship's: sha1 of the decimal doc_id
+        return partition_ids(batch.column("doc_id").cast(pa.string()),
+                             parts)
 
     def sig_with_pid(batch: pa.Table) -> pa.Table:
         t = sig_batch_fn(batch)

@@ -459,3 +459,33 @@ def test_unit_reads_keep_query_schema(ray_session, tmp_path):
     want = _columns(simhash_dedup_clusters(SF_DIR))
     assert _columns(first) == want
     assert _columns(resumed) == want
+
+
+def test_signature_units_are_sha1_of_decimal_doc_id(ray_session, tmp_path):
+    """The persisted ``sigs/part=K`` of a doc is
+    int(sha1(str(doc_id))[:8 bytes], big-endian) % parts, the flagship
+    url unit formula applied to the decimal id; resumes of existing
+    signature directories depend on it not moving."""
+    import hashlib
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+    from pgstosrt_ray.state import dedup_checkpoint as dc
+    from pgstosrt_ray.state.checkpoint import unit_files
+    parts = 7
+    ids = [0, 1, -1, -42, 9, 12345, 2**62, -(2**62), 2**63 - 1]
+    sig_dir = str(tmp_path / "sigs")
+    dc._checkpoint_sig_stage(
+        "unused", sig_dir, lambda b: b.select(["doc_id"]), parts, None,
+        {"family": "unit-id-pin"},
+        read_fn=lambda _: ray.data.from_arrow(
+            pa.table({"doc_id": pa.array(ids, pa.int64())})))
+    got = {}
+    for path in unit_files(sig_dir):
+        unit = int(os.path.basename(os.path.dirname(path)).split("=")[1])
+        for i in pq.read_table(path).column("doc_id").to_pylist():
+            got[i] = unit
+    want = {i: int.from_bytes(hashlib.sha1(str(i).encode()).digest()[:8],
+                              "big") % parts for i in ids}
+    assert got == want
