@@ -18,14 +18,18 @@ Memory-traffic design (the extract stage is this engine's hot loop and
 is memory-bandwidth-sensitive): the hot path works on the PALETTE-INDEX
 image (1 byte/pixel) plus the 256x4 LUT and never materializes the
 dense RGBA canvas, nor (with the C kernels) the H x W opacity mask.
-Derived quantities:
+A single-object cue is two native calls: ``_native.rle_decode_index``
+writes the index image straight from the RLE opcodes (the ``written``
+mask only when the runs do not tile the image), and
+``_native.scan_ocr`` reads it once for the column runs, the extents,
+the marker pairing and the glyph samples. Derived quantities:
   - opacity         = lut_alpha[idx] > 0, ANDed with the written mask
-    only when LUT entry 0 is set. The column scan reads it straight
-    from the index image in one native pass (``_native.column_runs``:
-    each column's longest opaque run + the extents); glyph bits are
-    then read through the same rule at block centres only. Without a
-    C compiler both the RLE walk and the column scan fall back to
-    numpy/Python (``opacity_mask`` + ``glyph.column_runs``).
+    only when LUT entry 0 is set (``_opacity_gate``); the OCR reads
+    it straight from the index image and reads glyph bits through the
+    same rule at block centres only. Without a C compiler the RLE
+    walk, the column scan and the OCR fall back to numpy/Python
+    (``format.rle_decode_runs``, ``opacity_mask`` +
+    ``glyph.column_runs`` + ``glyph.ocr_runs``).
   - canvas dims     = content + 50 pad (padding carries no content, so
     padded-image equality == content equality AND dims equality)
   - pixel identity  = SHA-256 over (dims, index image, LUT[, written
@@ -48,22 +52,8 @@ import numpy as np
 
 from . import _native
 from .format import build_palette_lut, rle_decode_runs
-from .glyph import column_runs, ocr_runs
+from .glyph import column_runs, ocr_runs, segments_text
 from .parse import DisplaySet
-
-
-def _runs_arrays(rle: bytes, width: int):
-    """(pos, idx, len) int32 arrays for the RLE stream — C kernel when
-    available (identical semantics), else the Python reference walk."""
-    nat = _native.rle_decode_runs_arrays(rle, width)
-    if nat is not None:
-        return nat
-    runs = rle_decode_runs(rle, width)
-    if not runs:
-        e = np.empty(0, dtype=np.int32)
-        return e, e, e
-    arr = np.array(runs, dtype=np.int32)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
 
 PAD = 50          # canvas grows by +50 in each dimension (reference :136)
 PAD_OFF = 25      # bitmap drawn at (25, 25) (reference :138)
@@ -83,36 +73,35 @@ def decode_object_indexed(rle: bytes, width: int, height: int
     (H, W) uint8, replicating DecodeImage's RLE walk (:55-134).
 
     Returns (idx_img, written): ``written`` is a bool mask of pixels the
-    cursor actually covered, or None when runs tile the image
-    contiguously from pixel 0 up to some prefix ``total`` (then
-    written == arange < total, and idx past total is 0). Unwritten
-    pixels are index 0; whether they RENDER transparent is the LUT's
-    business (entry 0 is transparent-black in well-formed palettes)."""
+    cursor actually covered, or None when there are no runs or the runs
+    tile the image exactly (from pixel 0 to the last, contiguously).
+    Unwritten pixels are index 0; whether they RENDER transparent is
+    the LUT's business (entry 0 is transparent-black in well-formed
+    palettes)."""
     if width <= 0 or height <= 0 or len(rle) == 0:
         return np.zeros((1, 1), dtype=np.uint8), None
-    pos_arr, idx_arr, len_arr = _runs_arrays(rle, width)
+    nat = _native.rle_decode_index(rle, width, height)
+    if nat is not None:
+        return nat[0], nat[1]
+    # numpy reference over the Python walk (no compiler, or a stream
+    # truncated mid-opcode, which raises here like the reference)
+    runs = rle_decode_runs(rle, width)
     n = width * height
     idx_img = np.zeros(n, dtype=np.uint8)
-    if len(pos_arr) == 0:
+    if not runs:
         return idx_img.reshape(height, width), None
+    arr = np.array(runs, dtype=np.int32)
+    pos_arr, idx_arr, len_arr = arr[:, 0], arr[:, 1], arr[:, 2]
     ends = np.cumsum(len_arr, dtype=np.int32)
     starts = ends - len_arr
     total = int(ends[-1])
     if total <= n and np.array_equal(pos_arr, starts):
-        # fast path: runs tile the image contiguously from pixel 0 —
-        # one uint8 repeat, no position scatter, no int64 temporaries
+        # runs tile the image contiguously from pixel 0: one repeat
         idx_img[:total] = np.repeat(idx_arr.astype(np.uint8), len_arr)
         if total == n:
             return idx_img.reshape(height, width), None
         written = np.zeros(n, dtype=bool)
         written[:total] = True
-        return idx_img.reshape(height, width), written.reshape(height, width)
-    written8 = np.zeros(n, dtype=np.uint8)
-    if _native.expand_runs_into(np.ascontiguousarray(pos_arr),
-                                np.ascontiguousarray(idx_arr),
-                                np.ascontiguousarray(len_arr),
-                                idx_img, written8):
-        written = written8.view(bool)
         return idx_img.reshape(height, width), written.reshape(height, width)
     within = np.arange(total, dtype=np.int32) - np.repeat(starts, len_arr)
     positions = np.repeat(pos_arr, len_arr) + within
@@ -251,26 +240,21 @@ def cue_meta_and_text(ds: DisplaySet, lut_cache: dict | None = None
     reference's post-OCR Trim (PgsOcr.cs:122)."""
     idx, written, lut = decode_display_set_indexed(ds, lut_cache)
     alpha = lut[:, 3] > 0
-    gate = _opacity_gate(written, lut)
-    # column scan straight from the index image (no H x W mask); the
-    # numpy scan over the mask is the fallback without a C compiler
-    scan = _native.column_runs(idx, gate, alpha)
+    scan = _native.scan_ocr(idx, _opacity_gate(written, lut), alpha)
     if scan is None:
         mask = opacity_mask(idx, written, lut)
-        scan = (*column_runs(mask), *mask_extents(mask))
-    tops, lens, nt_h, nt_w = scan
-    h = hashlib.sha256()
-    h.update(np.int64(idx.shape[0]).tobytes())
-    h.update(np.int64(idx.shape[1]).tobytes())
-    h.update(np.ascontiguousarray(idx).tobytes())
-    h.update(lut.tobytes())
+        tops, lens = column_runs(mask)
+        nt_h, nt_w = mask_extents(mask)
+        text = ocr_runs(tops, lens, lambda ys, xs: mask[ys[:, None], xs])
+    else:
+        _tops, _lens, nt_h, nt_w, segments = scan
+        text = segments_text(segments)
+    # buffers straight into the hash, no bytes copies
+    h = hashlib.sha256(np.array(idx.shape, dtype=np.int64))
+    h.update(np.ascontiguousarray(idx))
+    h.update(lut)
     if written is not None:
-        h.update(np.ascontiguousarray(written).tobytes())
+        h.update(np.ascontiguousarray(written))
     meta = DecodeMeta(dec_h=idx.shape[0] + PAD, dec_w=idx.shape[1] + PAD,
                       nt_h=nt_h, nt_w=nt_w, pixel_sha=h.digest())
-
-    def sample(ys, xs):
-        bits = alpha[idx[ys[:, None], xs]]
-        return bits if gate is None else bits & gate[ys[:, None], xs]
-
-    return meta, ocr_runs(tops, lens, sample).strip()
+    return meta, text.strip()

@@ -26,12 +26,14 @@ glyph block, decoded by sampling block centers. Multiple glyph blocks
 (multi-object compositions) are decoded in (top, left) order and joined
 with a newline. Anything unreadable decodes to "".
 
-The decoder has two parts. The column scan finds each column's longest
-opaque run: ``column_runs`` here over a bool mask (the reference), or
-the C kernel ``_native.column_runs`` straight from the palette-index
-image, which the pipeline uses (decode.cue_meta_and_text). The one
-``ocr_runs`` then fuses markers, pairs them and samples the glyph
-blocks through a caller-supplied opacity lookup, whichever scan ran.
+The decoder has two parts. The first finds each column's longest opaque
+run, fuses the markers, pairs them and samples the glyph blocks into
+``(top, x0, codepoints)`` segments: ``column_runs`` + ``ocr_runs`` here
+over a bool mask (the reference, and the path without a C compiler),
+or the one C kernel ``_native.scan_ocr`` straight from the
+palette-index image, which the pipeline uses
+(decode.cue_meta_and_text). The second, ``segments_text``, is shared:
+it orders the segments by (top, left), decodes them and joins them.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ def render_text(text: str, scale: int = 1, color_index: int = 1) -> np.ndarray:
 
 def column_runs(opaque: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-column longest vertical True-run of a bool mask
-    (the numpy reference of ``_native.column_runs``). Returns dense
-    (tops, lens) int arrays, one entry per column (len 0: no run);
-    ties broken by the earliest (topmost) run."""
+    (the numpy reference of ``_native.scan_ocr``'s column scan).
+    Returns dense (tops, lens) int arrays, one entry per column (len 0:
+    no run); ties broken by the earliest (topmost) run."""
     h, w = opaque.shape
     tops = np.zeros(w, np.int64)
     lens = np.zeros(w, np.int64)
@@ -104,7 +106,8 @@ def ocr_runs(tops: np.ndarray, lens: np.ndarray, sample) -> str:
     """Decode text from each column's longest opaque run (``tops``,
     ``lens``: one entry per column, len 0 for none). ``sample(ys, xs)``
     returns the bool opacity at rows ``ys`` x columns ``xs`` (shape
-    ``(len(ys), len(xs))``); it is read only at glyph block centres."""
+    ``(len(ys), len(xs))``); it is read only at glyph block centres.
+    The numpy/Python reference of ``_native.scan_ocr``'s OCR."""
     keep = (lens >= GLYPH_ROWS) & (lens % GLYPH_ROWS == 0)
     cand = list(zip(np.flatnonzero(keep).tolist(), tops[keep].tolist(),
                     lens[keep].tolist()))
@@ -118,7 +121,7 @@ def ocr_runs(tops: np.ndarray, lens: np.ndarray, sample) -> str:
         else:
             blocks.append((x, x + 1, top, ln))
     # pair consecutive marker blocks with the same (top, length)
-    texts = []  # (top, x, text)
+    segments = []  # (top, x, codepoints)
     used = [False] * len(blocks)
     for i in range(len(blocks)):
         if used[i]:
@@ -142,13 +145,17 @@ def ocr_runs(tops: np.ndarray, lens: np.ndarray, sample) -> str:
                 bits = sample(cys, cxs)
                 cps = (bits * _ROW_BITS).sum(axis=0)
                 if (cps != 0).all():
-                    texts.append((top, xa0,
-                                  cps.astype("<u4").tobytes()
-                                  .decode("utf-32-le")))
+                    segments.append((top, xa0, cps))
                     used[i] = used[j] = True
                 break
         # unpaired marker blocks are ignored
-    if not texts:
-        return ""
-    texts.sort(key=lambda t: (t[0], t[1]))
-    return "\n".join(t[2] for t in texts)
+    return segments_text(segments)
+
+
+def segments_text(segments: list) -> str:
+    """Join decoded glyph blocks ``(top, x0, codepoints)`` in (top,
+    left) order with a newline; the codepoints of each block are
+    decoded as UTF-32."""
+    segments.sort(key=lambda t: (t[0], t[1]))
+    return "\n".join(cps.astype("<u4").tobytes().decode("utf-32-le")
+                     for _top, _x0, cps in segments)

@@ -20,8 +20,9 @@ import pyarrow.compute as pc
 
 from ..functions.text import token_rows
 from .reduce import (agg_fold_blobs, agg_group_sum, attach,
-                     bucketed_group_agg, buckets_for, input_bytes,
-                     join_sizing, materialize_nonempty, parquet_rows)
+                     bucketed_group_agg, buckets_for, empty_like,
+                     input_bytes, join_sizing, materialize_nonempty,
+                     parquet_rows)
 from .relational import _read
 
 
@@ -31,6 +32,21 @@ def q_left_outer_join(sf_dir: str):
     (the missing-side semantics inner joins drop). Right side is
     pre-aggregated to (key, count) before the shuffle."""
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
+
+    def finish(t: pa.Table) -> pa.Table:
+        n = pc.coalesce(t.column("n"), pa.scalar(0, pa.int64()))
+        return pa.table({"c_custkey": t.column("c_custkey"),
+                         "c_name": t.column("c_name"),
+                         "n_orders": n.cast(pa.int64())})
+
+    if not parquet_rows(f"{sf_dir}/customer.parquet"):
+        return empty_like(cust, extra=[("n_orders", pa.int64())])
+    if not parquet_rows(f"{sf_dir}/orders.parquet"):
+        # no orders: every customer counts 0
+        return cust.map_batches(
+            lambda t: finish(t.append_column(
+                "n", pa.nulls(t.num_rows, pa.int64()))),
+            batch_format="pyarrow")
     # custkey cardinality grows with the corpus => bucketed count;
     # scrub empty blocks before the join (reduce.materialize_nonempty)
     counts = materialize_nonempty(bucketed_group_agg(
@@ -42,13 +58,6 @@ def q_left_outer_join(sf_dir: str):
                   **join_sizing(input_bytes(f"{sf_dir}/customer.parquet")
                                 + counts.size_bytes()),
                   on=("c_custkey",), right_on=("o_custkey",))
-
-    def finish(t: pa.Table) -> pa.Table:
-        n = pc.coalesce(t.column("n"), pa.scalar(0, pa.int64()))
-        return pa.table({"c_custkey": t.column("c_custkey"),
-                         "c_name": t.column("c_name"),
-                         "n_orders": n.cast(pa.int64())})
-
     return j.map_batches(finish, batch_format="pyarrow")
 
 
@@ -543,10 +552,12 @@ def q_semi_join_bloom(sf_dir: str):
     whole probe side and shuffling the ~matching fraction. Output
     identical to the plain semi join (same SQL oracle)."""
     keys_ds = _read(sf_dir, "orders", columns=["o_custkey"])
-    survivors = _bloom_prefilter(
-        keys_ds, "o_custkey",
-        _read(sf_dir, "customer", columns=["c_custkey", "c_name"]),
-        "c_custkey", lambda c: c.to_numpy())
+    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
+    if not (parquet_rows(f"{sf_dir}/customer.parquet")
+            and parquet_rows(f"{sf_dir}/orders.parquet")):
+        return empty_like(cust)
+    survivors = _bloom_prefilter(keys_ds, "o_custkey", cust, "c_custkey",
+                                 lambda c: c.to_numpy())
     # exact semi join on the (much smaller) surviving probe side
     distinct_keys = materialize_nonempty(keys_ds.map_batches(
         lambda t: pa.TableGroupBy(t, "o_custkey").aggregate([]),

@@ -119,6 +119,18 @@ def join_sizing(est_bytes: int) -> dict:
         f"more memory")
 
 
+def empty_like(ds, extra: tuple = ()):
+    """A zero-row Dataset with ``ds``'s columns and types, then the
+    ``extra`` (name, type) fields: the typed answer of a join whose
+    input side has no rows. Ray 2.49's hash join raises ``ArrowInvalid``
+    from ``HashShuffleAggregator.finalize()`` on an empty side, so such
+    joins answer here without running one."""
+    import ray.data
+    s = ds.schema()
+    fields = list(zip(s.names, s.types)) + list(extra)
+    return ray.data.from_arrow(pa.schema(fields).empty_table())
+
+
 def shuffle_groups() -> int:
     """Salted shuffle-group count for bucketed groupbys: ~4x the CPU
     count (floor 64) so groups stay small and stragglers amortize."""
@@ -368,7 +380,7 @@ def bucketed_group_agg(ds, key_cols, agg_fn, buckets: int | None = None,
     shuffle then moves Arrow blocks: its empty blocks skip every UDF
     and keep their input format, and a pandas one among the cast
     Arrow blocks breaks ``to_arrow_refs``."""
-    if buckets is None and not est_bytes and domain_bound is None:
+    if buckets is None and est_bytes is None and domain_bound is None:
         raise ValueError(
             "bucketed_group_agg needs its scale contract: pass "
             "buckets=/est_bytes= to size buckets from the data, or "

@@ -22,8 +22,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .reduce import (agg_fold_blobs, agg_group_sum, agg_topk,
-                     bucketed_group_agg, buckets_for, input_bytes,
-                     join_sizing, materialize_nonempty, parquet_rows)
+                     bucketed_group_agg, buckets_for, empty_like,
+                     input_bytes, join_sizing, materialize_nonempty,
+                     parquet_rows)
 
 
 def _read(sf_dir: str, table: str, columns=None, **kw):
@@ -478,14 +479,19 @@ def q_exact_dedup(sf_dir: str):
         return g.groupby("fp", as_index=False).agg(
             keeper_id=("doc_id", "min"), n_copies=("doc_id", "count"))
 
+    n_docs = parquet_rows(f"{sf_dir}/documents.parquet")
+    if not n_docs:
+        # a keyed map_groups over no rows answers with no schema
+        import ray.data
+        return ray.data.from_arrow(pa.schema([
+            ("fp", pa.string()), ("keeper_id", pa.int64()),
+            ("n_copies", pa.int64())]).empty_table())
     # fingerprint cardinality == corpus size => bucketed aggregation,
     # never a raw-key groupby (reduce.bucketed_group_agg rationale);
     # shuffled rows are constant-width (fp + id), so the bucket count
     # sizes from the row count, not the text bytes
     return bucketed_group_agg(ds.map_batches(fp, batch_format="pandas"),
-                              ["fp"], per_bucket,
-                              est_bytes=48 * parquet_rows(
-                                  f"{sf_dir}/documents.parquet"))
+                              ["fp"], per_bucket, est_bytes=48 * n_docs)
 
 SQL_EXACT_DEDUP = (
     "SELECT md5(text) AS fp, MIN(doc_id) AS keeper_id, "
@@ -512,6 +518,9 @@ def q_exact_dedup_keep(sf_dir: str):
     import pandas as pd
     from ..functions.text import md5_fingerprint
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    n_docs = parquet_rows(f"{sf_dir}/documents.parquet")
+    if not n_docs:
+        return empty_like(ds)
 
     def fp(df: pd.DataFrame) -> pa.Table:
         return pa.table({"doc_id": pa.array(df["doc_id"], pa.int64()),
@@ -525,7 +534,7 @@ def q_exact_dedup_keep(sf_dir: str):
 
     keepers = materialize_nonempty(bucketed_group_agg(
         ds.map_batches(fp, batch_format="pandas"), ["fp"], keep_first,
-        est_bytes=48 * parquet_rows(f"{sf_dir}/documents.parquet")))
+        est_bytes=48 * n_docs))
     src = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return src.join(keepers.map_batches(
         lambda t: t.rename_columns(["keep_id"]), batch_format="pyarrow"),
@@ -548,6 +557,9 @@ SQL_EXACT_DEDUP_KEEP = (
 # the shuffle moves (key) rows, not the full table.
 def q_semi_join(sf_dir: str):
     ds = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
+    if not (parquet_rows(f"{sf_dir}/customer.parquet")
+            and parquet_rows(f"{sf_dir}/orders.parquet")):
+        return empty_like(ds)
     keys = _read(sf_dir, "orders", columns=["o_custkey"]).map_batches(
         lambda t: pa.TableGroupBy(t, "o_custkey").aggregate([]),
         batch_format="pyarrow")
@@ -563,6 +575,10 @@ SQL_SEMI_JOIN = ("SELECT c_custkey, c_name FROM customer "
 def q_anti_join(sf_dir: str):
     """Orders with no lineitems (non-empty at every sf)."""
     ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus"])
+    if not parquet_rows(f"{sf_dir}/orders.parquet"):
+        return empty_like(ds)
+    if not parquet_rows(f"{sf_dir}/lineitem.parquet"):
+        return ds     # no lineitems: every order qualifies
     keys = _read(sf_dir, "lineitem", columns=["l_orderkey"]).map_batches(
         lambda t: pa.TableGroupBy(t, "l_orderkey").aggregate([]),
         batch_format="pyarrow")

@@ -80,31 +80,33 @@ class ExtractorEngine:
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         n_objects = batch.column("n_objects").to_pylist()
-        obj_x = batch.column("obj_x").to_pylist()
-        obj_y = batch.column("obj_y").to_pylist()
-        obj_w = batch.column("obj_w").to_pylist()
-        obj_h = batch.column("obj_h").to_pylist()
-        bitmaps = batch.column("bitmaps").to_pylist()
         palette_last = batch.column("palette_last").to_pylist()
+        # list columns as flat values + row offsets: row i of a column
+        # is values[off[i]:off[i + 1]], no per-row Python lists
+        bitmaps, bm_off = _flat(batch, "bitmaps")
+        xs, x_off = _flat(batch, "obj_x")
+        ys, y_off = _flat(batch, "obj_y")
+        ws, w_off = _flat(batch, "obj_w")
+        hs, h_off = _flat(batch, "obj_h")
 
         texts: list[str] = []
-        obj_lens: list[list[int]] = []
-        obj_shas: list[list[bytes]] = []
         dec_h = [0] * n
         dec_w = [0] * n
         nt_h = [0] * n
         nt_w = [0] * n
         pixel_sha: list[bytes] = []
         for i in range(n):
-            bufs = bitmaps[i] or []
-            obj_lens.append([len(b) for b in bufs])
-            obj_shas.append([hashlib.sha256(b).digest() for b in bufs])
+            bufs = bitmaps[bm_off[i]:bm_off[i + 1]]
             if n_objects[i] == 0 or not bufs:
                 texts.append("")
                 pixel_sha.append(b"")
                 continue
-            key = (tuple(bufs), palette_last[i], tuple(obj_x[i]),
-                   tuple(obj_y[i]), tuple(obj_w[i]), tuple(obj_h[i]))
+            x = xs[x_off[i]:x_off[i + 1]]
+            y = ys[y_off[i]:y_off[i + 1]]
+            w = ws[w_off[i]:w_off[i + 1]]
+            h = hs[h_off[i]:h_off[i + 1]]
+            key = (tuple(bufs), palette_last[i], tuple(x), tuple(y),
+                   tuple(w), tuple(h))
             hit = self._cache.get(key)
             if hit is not None:
                 dec_h[i], dec_w[i], nt_h[i], nt_w[i], sha_v, text_v = hit
@@ -115,11 +117,11 @@ class ExtractorEngine:
                 comp_num=0, comp_state=0, palette_update=False,
                 start_ticks=0,
                 objects=[PcsObj(object_id=0, window_id=0, forced=False,
-                                x=obj_x[i][k], y=obj_y[i][k])
+                                x=x[k], y=y[k])
                          for k in range(n_objects[i])],
                 bitmap_objects=[[OdsFrag(object_id=0, version=0,
-                                         is_first=True, width=obj_w[i][k],
-                                         height=obj_h[i][k], data=bufs[k])]
+                                         is_first=True, width=w[k],
+                                         height=h[k], data=bufs[k])]
                                 for k in range(len(bufs))],
                 palette_buffers=[palette_last[i]] if palette_last[i] else [],
             )
@@ -134,16 +136,31 @@ class ExtractorEngine:
             self._cache[key] = (dec_h[i], dec_w[i], nt_h[i], nt_w[i],
                                 sha_v, text_v)
 
+        offsets = pa.array(bm_off, pa.int32())
         out: dict[str, object] = {name: batch.column(name)
                                   for name in PASSTHROUGH}
         out.update({
-            "obj_lens": obj_lens, "obj_shas": obj_shas,
+            "obj_lens": pa.ListArray.from_arrays(
+                offsets, pa.array([len(b) for b in bitmaps], pa.int64())),
+            "obj_shas": pa.ListArray.from_arrays(
+                offsets, pa.array([hashlib.sha256(b).digest()
+                                   for b in bitmaps], pa.binary())),
             "dec_h": dec_h, "dec_w": dec_w, "nt_h": nt_h, "nt_w": nt_w,
             "pixel_sha": pixel_sha, "text": texts,
         })
-        arrays = [out[name] if isinstance(out[name], pa.ChunkedArray)
+        arrays = [out[name] if isinstance(out[name], (pa.Array,
+                                                      pa.ChunkedArray))
                   else pa.array(out[name], SPANS_SCHEMA.field(name).type)
                   for name in SPANS_SCHEMA.names]
         return pa.Table.from_arrays(
             [a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
              for a in arrays], schema=SPANS_SCHEMA)
+
+
+def _flat(batch: pa.Table, name: str) -> tuple[list, list[int]]:
+    """A list column as (its values as one flat Python list, row
+    offsets into it): row i holds values[off[i]:off[i + 1]]."""
+    col = batch.column(name).combine_chunks()
+    off = col.offsets.to_numpy()
+    values = col.values.slice(off[0], off[-1] - off[0])
+    return values.to_pylist(), (off - off[0]).tolist()

@@ -1,11 +1,15 @@
-"""The C kernels in _native.py: the column scan against its numpy
-reference, the whole extract path against the no-compiler fallback,
-and the first build racing across processes."""
+"""The C kernels in _native.py against their numpy/Python references:
+the RLE walk on random opcode streams, the scan-and-OCR kernel on
+random images and glyph renders, the whole extract path against the
+no-compiler fallback, the number of kernel calls per cue, and the
+first build racing across processes."""
 
 import os
+import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,14 +17,23 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pgstosrt_ray import _native
+from pgstosrt_ray import format as F
 from pgstosrt_ray.decode import (_opacity_gate, cue_meta_and_text,
-                                 mask_extents, opacity_mask)
-from pgstosrt_ray.glyph import column_runs
+                                 decode_object_indexed, mask_extents,
+                                 opacity_mask)
+from pgstosrt_ray.glyph import (GLYPH_ROWS, column_runs, ocr_mask,
+                                render_text, segments_text)
+from pgstosrt_ray.parse import DisplaySet, OdsFrag, PcsObj
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 needs_kernel = pytest.mark.skipif(not _native.available(),
                                   reason="no C compiler")
+
+
+def _no_kernel():
+    """Run the numpy/Python reference: every wrapper sees no library."""
+    return mock.patch.object(_native, "_lib", lambda: None)
 
 
 def _lut(alphas, entry0):
@@ -35,20 +48,22 @@ def _lut(alphas, entry0):
 
 def _check(idx, written, lut):
     """Kernel on the index image (the pipeline's call) == the numpy
-    scan over the opacity mask, for every column that has a run."""
+    scan and OCR over the opacity mask, for every column that has a
+    run."""
     mask = opacity_mask(idx, written, lut)
     ref_tops, ref_lens = column_runs(mask)
-    tops, lens, nt_h, nt_w = _native.column_runs(
+    tops, lens, nt_h, nt_w, segments = _native.scan_ocr(
         idx, _opacity_gate(written, lut), lut[:, 3] > 0)
     np.testing.assert_array_equal(lens, ref_lens)
     has = ref_lens > 0
     np.testing.assert_array_equal(tops[has], ref_tops[has])
     assert (nt_h, nt_w) == mask_extents(mask)
+    assert segments_text(segments) == ocr_mask(mask)
 
 
 @st.composite
 def _cases(draw):
-    h = draw(st.integers(1, 24))
+    h = draw(st.integers(1, 40))
     w = draw(st.integers(1, 24))
     idx = draw(arrays(np.uint8, (h, w), elements=st.integers(0, 3)))
     written = None
@@ -84,6 +99,31 @@ def _partial_written():
     return idx, written
 
 
+def _wide_middle_marker():
+    """Three marker blocks of one (top, length) at scale 1, the middle
+    one two columns wide: the first block's pair is the middle one,
+    which has the wrong width, so nothing decodes (the first block is
+    never paired with the third)."""
+    idx = np.zeros((GLYPH_ROWS, 7), np.uint8)
+    idx[:, [0, 3, 4, 6]] = 1
+    idx[0, [1, 2, 5]] = 1
+    return idx
+
+
+def _interleaved_markers(k=12, glyphs=4):
+    """k marker pairs of scale 1 at tops 0..k-1, all left markers
+    before all right ones: every pair decodes, and their glyph blocks
+    overlap, so the codepoints outgrow the kernel's first buffer."""
+    h = k + GLYPH_ROWS + 3     # glyph columns: not a marker length
+    w = 2 * k + glyphs
+    idx = np.zeros((h, w), np.uint8)
+    for i in range(k):
+        idx[i:i + GLYPH_ROWS, i] = 1
+        idx[i:i + GLYPH_ROWS, k + glyphs + i] = 1
+    idx[:, k:k + glyphs] = 1
+    return idx
+
+
 @needs_kernel
 @pytest.mark.parametrize("idx,written,lut", [
     (np.ones((1, 1), np.uint8), None, _lut([1], (0, 0, 0, 0))),
@@ -96,22 +136,268 @@ def _partial_written():
     (_bottom_run(), None, _lut([1], (0, 0, 0, 0))),
     (*_partial_written(), _lut([1], (0, 0, 0, 255))),
     (*_partial_written(), _lut([0], (0, 0, 0, 255))),
+    (render_text("two\nlines", 3), None, _lut([1], (0, 0, 0, 0))),
+    (_interleaved_markers(), None, _lut([1], (0, 0, 0, 0))),
+    (_wide_middle_marker(), None, _lut([1], (0, 0, 0, 0))),
+    (np.zeros((4, 0), np.uint8), None, _lut([1], (0, 0, 0, 0))),
 ], ids=["1x1", "1x1-clear", "w1", "w1-tie", "all-opaque", "bottom-run",
-        "lut0-opaque-partial-written", "lut0-only-opaque"])
+        "lut0-opaque-partial-written", "lut0-only-opaque", "glyphs",
+        "overlapping-pairs", "wide-middle-marker", "zero-width"])
 def test_column_scan_edge_cases(idx, written, lut):
     _check(idx, written, lut)
 
 
-def _spans_of_tiny():
-    """(text per url, pixel_sha per surviving cue) for the tiny corpus."""
+@needs_kernel
+def test_overlapping_pairs_outgrow_first_buffer():
+    idx = _interleaved_markers()
+    alpha = _lut([1], (0, 0, 0, 0))[:, 3] > 0
+    segments = _native.scan_ocr(idx, None, alpha)[4]
+    assert len(segments) == 12
+    first_cap = 2 * idx.shape[1] + 8
+    assert sum(3 + len(cps) for _t, _x, cps in segments) > first_cap
+
+
+# -- the RLE walk ----------------------------------------------------------
+
+# one opcode each: literal pixel, end of line, short transparent run,
+# long transparent run, short coloured run, long coloured run
+# (lengths 0 included: zero-length runs)
+_OPCODE = st.one_of(
+    st.integers(1, 255).map(lambda b: bytes([b])),
+    st.just(b"\x00\x00"),
+    st.integers(1, 63).map(lambda n: bytes([0, n])),
+    st.tuples(st.integers(0, 1), st.integers(0, 255)).map(
+        lambda t: bytes([0, 0x40 | t[0], t[1]])),
+    st.tuples(st.integers(0, 63), st.integers(0, 255)).map(
+        lambda t: bytes([0, 0x80 | t[0], t[1]])),
+    st.tuples(st.integers(0, 1), st.integers(0, 255),
+              st.integers(0, 255)).map(
+        lambda t: bytes([0, 0xC0 | t[0], t[1], t[2]])),
+)
+# how a stream may end: cleanly, or inside an opcode (a lone 0x00 is a
+# literal pixel; 0x80/0x40/0xC0 without their operand are skipped;
+# 0xC0 with one operand raises in the reference walk)
+_TAIL = st.sampled_from([b"", b"\x00", b"\x00\x80", b"\x00\x40",
+                         b"\x00\xc0", b"\x00\xc0\x05"])
+
+
+@st.composite
+def _streams(draw):
+    w = draw(st.integers(1, 24))
+    h = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        # an encoded image: the runs tile it exactly, or its prefix
+        img = draw(arrays(np.uint8, (h, w), elements=st.integers(0, 4)))
+        rle = F.rle_encode(img)
+        rle = rle[:draw(st.integers(0, len(rle)))]
+    else:
+        rle = b"".join(draw(st.lists(_OPCODE, max_size=40)))
+    return rle + draw(_TAIL), w, h
+
+
+def _decode_or_error(rle, w, h):
+    try:
+        return decode_object_indexed(rle, w, h)
+    except Exception as e:   # compared by type and message below
+        return type(e), str(e)
+
+
+def _assert_same_decode(rle, w, h):
+    got = _decode_or_error(rle, w, h)
+    with _no_kernel():
+        ref = _decode_or_error(rle, w, h)
+    if isinstance(ref[0], type):
+        assert got == ref
+        return
+    np.testing.assert_array_equal(got[0], ref[0])
+    assert (got[1] is None) == (ref[1] is None)
+    if ref[1] is not None:
+        np.testing.assert_array_equal(got[1], ref[1])
+    nat = _native.rle_decode_index(rle, w, h)
+    assert nat[2] == sum(ln for _p, _i, ln in F.rle_decode_runs(rle, w))
+
+
+@needs_kernel
+@given(_streams())
+@settings(max_examples=600, deadline=None)
+def test_rle_walk_matches_python_reference(case):
+    _assert_same_decode(*case)
+
+
+@needs_kernel
+@pytest.mark.parametrize("rle,w,h", [
+    (b"\x00\x00\x00\x00", 4, 2),               # no runs at all
+    (b"\x00\x80\x05", 4, 2),                   # one zero-length run
+    (b"\x01\x00\x80\x05\x02", 2, 1),           # zero-length run inside
+    (b"\x01\x01\x00\x00\x02\x02", 2, 2),       # snap that keeps tiling
+    (b"\x01\x00\x00\x02", 2, 2),               # snap past a short line
+    (b"\x01\x01\x01", 2, 2),                   # total < n
+    (b"\x00\x88\x03\x00\x00", 2, 2),           # total > n, contiguous
+    (b"\x00\x43\x00\x01\x02\x00\x00\x03", 4, 4),  # overflow, then a snap
+    (b"\x00\xc0\x05", 4, 4),                   # ends inside 0xC0
+    (b"\x07", 1, 1),                           # one literal tiles 1x1
+    # tiles [0, n), then two snaps move the cursor past n, where a
+    # zero-length run still breaks the tiling: ``written`` is kept
+    (b"\x01\x01\x00\x00\x00\x00\x00\x80\x05", 2, 1),
+], ids=["eol-only", "zero-len", "zero-len-inside", "snap-tiles",
+        "snap-gap", "short", "long-contiguous", "overflow-snap",
+        "truncated", "1x1", "zero-len-after-snaps"])
+def test_rle_walk_edge_cases(rle, w, h):
+    _assert_same_decode(rle, w, h)
+
+
+@needs_kernel
+def test_truncated_stream_raises_like_the_reference():
+    with pytest.raises(IndexError) as got:
+        decode_object_indexed(b"\x01\x00\xc0\x05", 4, 4)
+    with _no_kernel(), pytest.raises(IndexError) as ref:
+        decode_object_indexed(b"\x01\x00\xc0\x05", 4, 4)
+    assert str(got.value) == str(ref.value)
+
+
+# -- whole cues: DecodeMeta and text ---------------------------------------
+
+def _palette(entry0_alpha, alphas):
+    """A palette buffer: (idx, Y, Cr, Cb, A) for entry 0 and 1..n."""
+    buf = bytes((0, 16, 128, 128, entry0_alpha))
+    for i, a in enumerate(alphas, start=1):
+        buf += bytes((i, 235, 128, 128, a))
+    return buf
+
+
+def _display_set(objects, palette):
+    """objects: (x, y, width, height, rle) per object."""
+    return DisplaySet(
+        comp_num=0, comp_state=0, palette_update=False, start_ticks=0,
+        objects=[PcsObj(object_id=k, window_id=0, forced=False, x=x, y=y)
+                 for k, (x, y, _w, _h, _rle) in enumerate(objects)],
+        bitmap_objects=[[OdsFrag(object_id=k, version=0, is_first=True,
+                                 width=w, height=h, data=rle)]
+                        for k, (_x, _y, w, h, rle) in enumerate(objects)],
+        palette_buffers=[palette])
+
+
+def _meta_and_text_or_error(ds):
+    try:
+        return cue_meta_and_text(ds)
+    except Exception as e:   # compared by type and message
+        return type(e), str(e)
+
+
+def _assert_same_cue(ds):
+    got = _meta_and_text_or_error(ds)
+    with _no_kernel():
+        ref = _meta_and_text_or_error(ds)
+    assert got == ref
+
+
+_PALETTES = st.tuples(st.sampled_from([0, 0, 200]),   # entry 0 set or not
+                      st.lists(st.sampled_from([0, 13, 14, 255]),
+                               min_size=4, max_size=4)).map(
+    lambda t: _palette(*t))
+
+
+@st.composite
+def _stream_cues(draw):
+    """1-3 objects of random opcode streams at random offsets."""
+    objects = []
+    for _ in range(draw(st.integers(1, 3))):
+        rle, w, h = draw(_streams())
+        objects.append((draw(st.integers(0, 12)), draw(st.integers(0, 12)),
+                        w, h, rle))
+    return _display_set(objects, draw(_PALETTES))
+
+
+@needs_kernel
+@given(_stream_cues())
+@settings(max_examples=300, deadline=None)
+def test_stream_cues_match_fallback(ds):
+    _assert_same_cue(ds)
+
+
+_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x2FFF,
+                              blacklist_categories=("Cs",)),
+                min_size=1, max_size=12)
+
+
+@st.composite
+def _glyph_cues(draw):
+    """1-3 rendered texts (scale 1-4), some pixels flipped, composited
+    at offsets that may overlap."""
+    objects = []
+    for _ in range(draw(st.integers(1, 3))):
+        bm = render_text(draw(_TEXT), scale=draw(st.integers(1, 4)),
+                         color_index=draw(st.integers(1, 4)))
+        for _ in range(draw(st.integers(0, 3))):
+            y = draw(st.integers(0, bm.shape[0] - 1))
+            x = draw(st.integers(0, bm.shape[1] - 1))
+            bm[y, x] = draw(st.integers(0, 4))
+        objects.append((draw(st.integers(0, 40)), draw(st.integers(0, 80)),
+                        bm.shape[1], bm.shape[0], F.rle_encode(bm)))
+    return _display_set(objects, draw(_PALETTES))
+
+
+@needs_kernel
+@given(_glyph_cues())
+@settings(max_examples=200, deadline=None)
+def test_glyph_cues_match_fallback(ds):
+    _assert_same_cue(ds)
+
+
+class _CallSpy:
+    """A stand-in for the loaded library that records each kernel call."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(self._lib, name)
+
+        def call(*args):
+            self.calls.append(name)
+            return fn(*args)
+        return call
+
+
+@needs_kernel
+@pytest.mark.parametrize("scale", [1, 4])
+def test_single_object_cue_is_two_kernel_calls(monkeypatch, scale):
+    bm = render_text("one cue", scale=scale)
+    ds = _display_set([(10, 20, bm.shape[1], bm.shape[0],
+                        F.rle_encode(bm))], _palette(0, [255]))
+    spy = _CallSpy(_native._lib())
+    monkeypatch.setattr(_native, "_lib", lambda: spy)
+    _meta, text = cue_meta_and_text(ds)
+    assert text == "one cue"
+    assert spy.calls == ["rle_decode_index", "scan_ocr"]
+
+
+# -- the no-compiler fallback over whole corpora ---------------------------
+
+def _tiny_urls():
     from pgstosrt_ray.fixtures import build_tiny
-    from pgstosrt_ray.oracle import extract_corpus, prepare_url_cues
     pages, _golden = build_tiny()
     urls: dict = {}
     for u, ts, html in zip(pages.column("url").to_pylist(),
                            pages.column("warc_ts").to_pylist(),
                            pages.column("html").to_pylist()):
         urls.setdefault(u, []).append((ts, html))
+    return urls
+
+
+def _heavy_urls():
+    """Three heavy-profile urls: glyph scale 1-4, 4-12 cues a payload."""
+    from pgstosrt_ray.fixtures import random_payload_rows
+    return {f"https://example.org/heavy/{j}":
+            random_payload_rows(random.Random(f"heavy:1:{j}"), j,
+                                profile="heavy")
+            for j in range(3)}
+
+
+def _spans_of(urls):
+    """(text per url, DecodeMeta per surviving cue)."""
+    from pgstosrt_ray.oracle import extract_corpus, prepare_url_cues
     metas = [cue_meta_and_text(c)[0] for rows in urls.values()
              for c in prepare_url_cues(rows)]
     return extract_corpus(urls), metas
@@ -120,14 +406,18 @@ def _spans_of_tiny():
 @needs_kernel
 def test_fallback_matches_kernel(monkeypatch):
     """Without a compiler (no kernel at all) the oracle gives the same
-    text and the same merge metadata, pixel_sha included."""
-    texts, metas = _spans_of_tiny()
+    text and the same merge metadata, pixel_sha included, on the tiny
+    corpus and on heavy-profile urls."""
+    corpora = [_tiny_urls(), _heavy_urls()]
+    spans = [_spans_of(urls) for urls in corpora]
     monkeypatch.setattr(_native, "_lib", lambda: None)
     assert not _native.available()
-    fb_texts, fb_metas = _spans_of_tiny()
-    assert fb_texts == texts
-    assert fb_metas == metas
-    assert any(m.pixel_sha for m in metas)
+    for urls, (texts, metas) in zip(corpora, spans):
+        fb_texts, fb_metas = _spans_of(urls)
+        assert fb_texts == texts
+        assert fb_metas == metas
+        assert any(m.pixel_sha for m in metas)
+        assert any(text for text, _n in texts.values())
 
 
 _PROBE = """
@@ -137,7 +427,7 @@ time.sleep(max(0.0, float(sys.argv[1]) - time.time()))
 from pgstosrt_ray import _native
 ok = _native.available()
 if ok:
-    tops, lens, nt_h, nt_w = _native.column_runs(
+    tops, lens, nt_h, nt_w, segs = _native.scan_ocr(
         np.ones((3, 2), np.uint8), None, np.ones(256, bool))
     ok = lens.tolist() == [3, 3] and (nt_h, nt_w) == (3, 2)
 print(ok)

@@ -726,28 +726,83 @@ def _fields(t: pa.Table) -> dict:
     return {f.name: f.type for f in t.schema}
 
 
-def test_grouped_sum_queries_typed_on_zero_rows(ray_session, tmp_path):
-    """Every table empty: each re-routed query answers with the column
-    names and Arrow types of its sf0.001 answer (no schemaless Dataset,
-    no error from an empty join side)."""
-    import __ray_entry__
+def _empty_copy(dst, empty_tables=None) -> str:
+    """sf0.001 copied to ``dst`` with ``empty_tables`` (default: every
+    table) cut to zero rows; returns ``dst``."""
     import pyarrow.parquet as pq
+    os.makedirs(dst, exist_ok=True)
     for f in os.listdir(SF_DIR):
         if f.endswith(".parquet"):
-            pq.write_table(pq.read_table(os.path.join(SF_DIR, f))
-                           .slice(0, 0), str(tmp_path / f))
+            t = pq.read_table(os.path.join(SF_DIR, f))
+            if empty_tables is None or f[:-8] in empty_tables:
+                t = t.slice(0, 0)
+            pq.write_table(t, os.path.join(str(dst), f))
+    return str(dst)
+
+
+def _typed_like_sf0001(names, sf_dir) -> list:
+    """The queries among ``names`` whose answer on ``sf_dir`` lacks the
+    column names and Arrow types of their sf0.001 answer."""
+    import __ray_entry__
     qs, bad = __ray_entry__.queries(), []
-    for name in _GROUPED_SUM_QUERIES:
-        if name == "url_section_stats":   # reads the page corpus
-            continue
+    for name in names:
         want = _fields(_answer(qs[name](SF_DIR)))
         try:
-            got = _fields(_answer(qs[name](str(tmp_path))))
+            got = _fields(_answer(qs[name](sf_dir)))
         except Exception as e:            # noqa: BLE001 - reported below
             got = f"{type(e).__name__}: {str(e)[:120]}"
         if got != want:
             bad.append(f"{name}: {got} != {want}")
+    return bad
+
+
+def test_grouped_sum_queries_typed_on_zero_rows(ray_session, tmp_path):
+    """Every table empty: each re-routed query answers with the column
+    names and Arrow types of its sf0.001 answer (no schemaless Dataset,
+    no error from an empty join side)."""
+    bad = _typed_like_sf0001(
+        [n for n in _GROUPED_SUM_QUERIES
+         if n != "url_section_stats"],    # reads the page corpus
+        _empty_copy(tmp_path))
     assert not bad, "\n".join(bad)
+
+
+def test_bucketed_queries_typed_on_zero_rows(ray_session, tmp_path):
+    """A zero-row table sizes a bucketed shuffle with est_bytes=0,
+    which is a scale contract (sized from the data), not a missing
+    one: each query answers typed and empty instead of raising."""
+    bad = _typed_like_sf0001(
+        ["exact_dedup", "exact_dedup_keep", "distinct_users_exact"],
+        _empty_copy(tmp_path))
+    assert not bad, "\n".join(bad)
+
+
+_JOIN_QUERIES = ["semi_join", "anti_join", "left_outer_join",
+                 "semi_join_bloom"]
+
+
+def test_join_queries_typed_on_empty_sides(ray_session, tmp_path):
+    """Every table empty: each join query answers with the column
+    names and Arrow types of its sf0.001 answer; with only its right
+    side empty it answers what the SQL oracle does (every customer
+    with 0 orders, every order without lineitems)."""
+    import duckdb
+    import __ray_entry__
+    bad = _typed_like_sf0001(_JOIN_QUERIES, _empty_copy(tmp_path / "all"))
+    assert not bad, "\n".join(bad)
+    qs, sql = __ray_entry__.queries(), __ray_entry__.oracle_sql()
+    for empty in ("orders", "lineitem"):
+        sf = _empty_copy(tmp_path / empty, {empty})
+        con = duckdb.connect()
+        for f in os.listdir(sf):
+            con.sql(f"CREATE VIEW {f[:-8]} AS SELECT * FROM "
+                    f"'{os.path.join(sf, f)}'")
+        for name in _JOIN_QUERIES:
+            got = _answer(qs[name](sf))
+            want = con.sql(sql[name]).arrow()
+            keys = [(c, "ascending") for c in want.column_names]
+            assert (got.select(want.column_names).sort_by(keys).to_pylist()
+                    == want.sort_by(keys).to_pylist()), (empty, name)
 
 
 def test_grouped_sum_query_types_equal_oracle(ray_session):
