@@ -54,17 +54,21 @@ class PipelineConfig:
     # outgrows the per-task byte target at corpus scale
     assemble_buckets: int = 128
     # skew defense (SURVEY §4, north_star "explicit repartitioning to
-    # defeat payload-size skew"): when set, demux YIELDS cue blocks
-    # bounded by this many cumulative bitmap bytes (a giant payload's
-    # cues split across many blocks, a huge cue sits alone) and the
-    # unfused extract stage consumes one block per batch
-    # (batch_size=None) — so a multi-MB payload never shares an
-    # extract batch with light rows, extract work spreads across
-    # workers by BYTES not row count, and the input is read exactly
-    # ONCE (the round-1 dual-lane design scanned the corpus twice).
-    # None disables (plain row-count batching). Default ON: measured
-    # within ~5% of row-count batching on the heavy bench corpus while
-    # bounding extract batches by bytes (BASELINE.md).
+    # defeat payload-size skew") on clusters with two or more CPUs:
+    # when set, demux runs as its own operator and YIELDS cue blocks
+    # bounded by this many cumulative bitmap bytes, and extract takes
+    # one block per batch (batch_size=None); the input is read exactly
+    # ONCE (the round-1 dual-lane design scanned the corpus twice). On
+    # Ray 2.49 the map output buffer merges the yielded blocks back
+    # into blocks of its own size, so the bound does not reach an
+    # extract batch (ROADMAP "Known defects"). None = row-count
+    # batching (demux_batch_size, extract_batch_size).
+    # Ignored on a one-CPU cluster in "tasks" mode: there the read,
+    # demux, extract and bucket tagging fuse into ONE operator, one
+    # task per read block (bounded by Ray's target_max_block_size),
+    # faster than the router on 1 vCPU (BASELINE.md "1-vCPU fused
+    # page-to-span operator"; the router costs an extra operator and
+    # buys nothing without a second worker, "1-vCPU flagship routing").
     skew_block_bytes: int | None = 512 * 1024
 
     def concurrency(self):

@@ -155,7 +155,9 @@ def ocr_runs(tops: np.ndarray, lens: np.ndarray, sample) -> str:
 def segments_text(segments: list) -> str:
     """Join decoded glyph blocks ``(top, x0, codepoints)`` in (top,
     left) order with a newline; the codepoints of each block are
-    decoded as UTF-32."""
+    decoded as UTF-32, each invalid one (a lone surrogate) as U+FFFD,
+    as a UTF-8 SRT writer emits it."""
     segments.sort(key=lambda t: (t[0], t[1]))
-    return "\n".join(cps.astype("<u4").tobytes().decode("utf-32-le")
+    return "\n".join(cps.astype("<u4").tobytes().decode("utf-32-le",
+                                                         "replace")
                      for _top, _x0, cps in segments)

@@ -4,17 +4,28 @@
        |                                      optional lang pushdown]
     map_batches(demux)                       [M1-M8: stateless tasks;
        |                                      with skew_block_bytes set,
-       |                                      byte-bounded cue blocks]
+       |                                      the router's byte-bounded
+       |                                      cue blocks]
     map_batches(extract)                     [M9-M16: decode fused with
        |                                      OCR; "tasks" mode (default)
        |                                      = per-process warm engine,
        |                                      "actors" = O1 warm pool]
     map_batches(add_bucket)                  [_bucket = sha1(url) % B,
        |                                      B from reduce.buckets_for]
-    groupby("_bucket").map_groups(assemble)  [the ONE shuffle: D2 merge,
-       |                                      fill, A2-A3, R1, F3]
-    docs (url, text, n_cues)                 [S8 sink: the checkpoint
-                                              units, state/checkpoint]
+    groupby("_bucket").map_groups(assemble)  [the assembly shuffle: D2
+       |                                      merge, fill, A2-A3, R1, F3]
+    docs (url, text, n_cues)                 [S8 sink: run_checkpointed
+                                              tags _pid and its
+                                              write_units sorts on it, a
+                                              second shuffle]
+
+The operators the first four steps become depend on the cluster
+(``_spans_of``). On one CPU in "tasks" mode the read is one task
+(``read_pages``) and demux and extract take whole blocks, so Ray fuses
+all four into ONE operator, one task per read block (bounded by
+``DataContext.target_max_block_size``), and the sort shuffle follows.
+On two or more CPUs the read is its own operator, then the skew
+router (or row-count demux batches), then extract + add_bucket.
 
 Never calls ray.init(); callers own the session (driver contract).
 """
@@ -78,15 +89,15 @@ def _demux_router(batch: pa.Table, block_bytes: int):
 
 def _spans_of(pages_ds, cfg: PipelineConfig, demux_bs: int,
               extract_bs: int | None):
+    from .reduce import cluster_cpus
+    cpus = cluster_cpus()
     if cfg.extract_mode != "tasks":
         # the pool's minimum actors hold their CPUs for the whole run;
         # if they leave no room for a demux task nothing ever feeds
         # them and the job hangs, so refuse it before execution
-        from .reduce import cluster_cpus
         c = cfg.concurrency()
         pool = c[0] if isinstance(c, tuple) else c
         need = pool * cfg.extract_num_cpus + cfg.demux_num_cpus
-        cpus = cluster_cpus()
         if need > cpus:
             raise ValueError(
                 f"extract actor pool of {pool} actors x "
@@ -94,8 +105,19 @@ def _spans_of(pages_ds, cfg: PipelineConfig, demux_bs: int,
                 f"CPUs for demux asks for {need} CPUs, but the cluster "
                 f"has {cpus}; lower extract_concurrency or use "
                 f"extract_mode='tasks'")
-    if cfg.skew_block_bytes is not None:
-        # byte-bounded cue blocks; extract takes one block per batch.
+    if cfg.extract_mode == "tasks" and cpus == 1:
+        # one CPU: no second worker to take a split, so no router and
+        # no re-batching. Whole-block batches let Ray fuse the read
+        # (one task, read_pages), demux, extract and add_bucket into
+        # ONE operator over each read block (bounded by
+        # DataContext.target_max_block_size); every operator boundary
+        # dropped is per-operator overhead saved
+        cues = pages_ds.map_batches(demux_batch, batch_format="pyarrow",
+                                    batch_size=None)
+        extract_bs = None
+    elif cfg.skew_block_bytes is not None:
+        # byte-bounded cue blocks; extract takes one block per batch
+        # (on Ray 2.49 the map output buffer merges them back).
         # demux gets a fractional-CPU resource spec so it does NOT fuse
         # with extract — fused, every block of a giant payload would
         # run serially in one task and the split would buy nothing.
@@ -139,9 +161,8 @@ def extract_docs(pages_ds, cfg: PipelineConfig = DEFAULT_CONFIG,
                  est_bytes: int | None = None):
     """pages Dataset -> docs Dataset (url, text, n_cues). Lazy.
 
-    Skew defense: see ``PipelineConfig.skew_block_bytes`` — one input
-    pass, cue blocks bounded by bitmap bytes, extract spread by bytes
-    not row count."""
+    The page-to-span operators follow the cluster (``_spans_of``; see
+    ``PipelineConfig.skew_block_bytes`` for the skew router)."""
     spans = _spans_of(pages_ds, cfg, cfg.demux_batch_size,
                       cfg.extract_batch_size)
     # shuffle on a hash bucket, not the raw url: the sort-based shuffle

@@ -66,13 +66,23 @@ def read_pages(corpus: str, *, lang: str | None = None,
                columns: list[str] | None = None):
     """``ray.data`` reader with column pruning and an optional
     row-filter pushdown on ``lang`` (the reference's track-by-language
-    selection, MkvUtilities.cs:76-96, done at the read)."""
+    selection, MkvUtilities.cs:76-96, done at the read).
+
+    On a one-CPU cluster the read is ONE task. Ray otherwise splits
+    each read task's output (it aims for at least 2 x CPUs blocks, and
+    for 1 MiB blocks up to 200), and a split read never fuses with the
+    map after it; the flagship's one-CPU plan fuses the read into its
+    page-to-span operator (``pipelines/extract._spans_of``)."""
     import pyarrow.compute as pc
     import ray.data
+
+    from ..pipelines.reduce import cluster_cpus
 
     if columns is None:
         columns = ["url", "warc_ts", "html"]
     kwargs = {}
+    if cluster_cpus() == 1:
+        kwargs["override_num_blocks"] = 1
     if lang is not None:
         kwargs["filter"] = pc.field("lang") == lang
         if "lang" not in columns:

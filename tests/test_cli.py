@@ -49,6 +49,32 @@ def test_cli_end_to_end(tmp_path):
     assert "num_partitions" in res3.stderr
 
 
+def test_cli_one_cpu_runs_the_fused_operator(tmp_path):
+    """On a real one-CPU cluster the run records ONE operator from the
+    read to the bucket tag, writes the golden and resumes."""
+    corpus = materialize_corpus("tiny", 30, seed=7)
+    out = str(tmp_path / "out")
+    args = ["--input", corpus, "--output", out,
+            "--num-cpus", "1", "--partitions", "4"]
+    res = _run_cli(args)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert json.loads(res.stdout.strip().splitlines()[-1])[
+        "written_partitions"] == 4
+    from pgstosrt_ray.state.checkpoint import read_output
+    assert read_output(out).sort_by("url").equals(
+        read_golden(corpus).sort_by("url"))
+    with open(os.path.join(out, "_manifest", "_run.json")) as f:
+        stages = [s["stage"] for s in json.load(f)["stages"]]
+    sort = next(i for i, n in enumerate(stages) if n.startswith("Sort"))
+    assert stages[:sort] == [
+        "ReadParquet->MapBatches(demux_batch)->MapBatches(_task_extract)"
+        "->MapBatches(add_bucket)"], stages
+    res2 = _run_cli(args)
+    assert res2.returncode == 0, res2.stderr[-2000:]
+    m2 = json.loads(res2.stdout.strip().splitlines()[-1])
+    assert (m2["written_partitions"], m2["skipped_partitions"]) == (0, 4)
+
+
 def test_cli_rejects_bad_tesseract_language(tmp_path):
     corpus = materialize_corpus("tiny", 30, seed=7)
     tess = tmp_path / "tessdata"

@@ -12,6 +12,7 @@ import time
 from unittest import mock
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -450,3 +451,63 @@ def test_concurrent_first_build(tmp_path):
         assert out.strip() == "True", (out, err)
     left = sorted(os.listdir(tmp_path / "pgstosrt_native"))
     assert len(left) == 1 and left[0].endswith(".so"), left
+
+
+# -- codepoints that are not Unicode scalar values ------------------------
+
+def _surrogate_pages():
+    """One url whose cue reads a lone surrogate, beside normal urls."""
+    from pgstosrt_ray import fixtures as FX
+    rows = [("https://example.org/surrogate", 1, FX.sup_payload(
+        [FX.text_ds("a\ud800b", 90000), FX.clear_ds(2 * FX.TICK)]))]
+    rows += [(f"https://example.org/plain/{i}", 2 + i, FX.sup_payload(
+        [FX.text_ds(f"plain {i}", FX.TICK), FX.clear_ds(2 * FX.TICK)]))
+        for i in range(3)]
+    return pa.table({
+        "url": pa.array([r[0] for r in rows], pa.string()),
+        "warc_ts": pa.array([r[1] for r in rows], pa.int64())
+        .cast(pa.timestamp("us")),
+        "html": pa.array([r[2] for r in rows], pa.binary())})
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(True, marks=needs_kernel), False])
+def test_lone_surrogate_reads_as_replacement_char(kernel):
+    """A glyph that decodes to U+D800 is U+FFFD in the oracle and in
+    the engine, with and without the kernels; it does not fail the
+    batch it rides in."""
+    from pgstosrt_ray.oracle import extract_url
+    from pgstosrt_ray.stages.demux import demux_batch
+    from pgstosrt_ray.stages.extract import ExtractorEngine
+    pages = _surrogate_pages()
+    with (mock.patch.object(_native, "_lib", _native._lib) if kernel
+          else _no_kernel()):
+        assert _native.available() == kernel
+        srt, n = extract_url([(1, pages.column("html")[0].as_py())])
+        spans = ExtractorEngine()(demux_batch(pages))
+    assert n == 1 and srt.splitlines()[2] == "a�b"
+    texts = {u: t for u, t in zip(spans.column("url").to_pylist(),
+                                  spans.column("text").to_pylist()) if t}
+    assert texts["https://example.org/surrogate"] == "a�b"
+    assert texts["https://example.org/plain/2"] == "plain 2"
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_lone_surrogate_through_pipeline(ray_session, monkeypatch, cpus):
+    """The surrogate url beside normal urls, on the one-CPU plan and
+    the router plan: every doc equals the oracle."""
+    import ray.data
+    from pgstosrt_ray.oracle import extract_url
+    from pgstosrt_ray.pipelines import reduce
+    from pgstosrt_ray.pipelines.extract import docs_to_table, extract_docs
+    monkeypatch.setattr(reduce, "cluster_cpus", lambda default=8: cpus)
+    pages = _surrogate_pages()
+    docs = docs_to_table(extract_docs(ray.data.from_arrow(pages)))
+    exp = {u: extract_url([(ts, html)]) for u, ts, html in zip(
+        pages.column("url").to_pylist(),
+        pages.column("warc_ts").cast(pa.int64()).to_pylist(),
+        pages.column("html").to_pylist())}
+    assert {u: (t, n) for u, t, n in zip(
+        docs.column("url").to_pylist(), docs.column("text").to_pylist(),
+        docs.column("n_cues").to_pylist())} == exp
+    assert "a�b" in exp["https://example.org/surrogate"][0]
