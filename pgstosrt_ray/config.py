@@ -46,12 +46,15 @@ class PipelineConfig:
         """Pool ~0.8x CPUs, remainder for demux/read/shuffle stages."""
         return PipelineConfig(
             extract_concurrency=max(2, round(num_cpus * 0.8)))
-    # partitioned-output / checkpoint layout
+    # checkpointed extraction (state/checkpoint.run_checkpointed): the
+    # FLOOR of its unit count; each unit is one assembly bucket,
+    # sha1(url) % reduce.buckets_for(input bytes, floor=num_partitions),
+    # so this also floors that path's assembly parallelism
     num_partitions: int = 16
-    # assembly shuffle buckets (sha1(url) % B); ~4x total cores.
-    # This is the parallelism FLOOR — extract_docs raises B from the
-    # input bytes (reduce.buckets_for) so no assembly bucket frame
-    # outgrows the per-task byte target at corpus scale
+    # query-path assembly shuffle buckets (extract_docs: sha1(url) % B);
+    # ~4x total cores. This is the parallelism FLOOR — extract_docs
+    # raises B from the input bytes (reduce.buckets_for) so no assembly
+    # bucket frame outgrows the per-task byte target at corpus scale
     assemble_buckets: int = 128
     # skew defense (SURVEY §4, north_star "explicit repartitioning to
     # defeat payload-size skew") on clusters with two or more CPUs:

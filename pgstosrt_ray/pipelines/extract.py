@@ -15,17 +15,17 @@
     groupby("_bucket").map_groups(assemble)  [the assembly shuffle: D2
        |                                      merge, fill, A2-A3, R1, F3]
     docs (url, text, n_cues)                 [S8 sink: run_checkpointed
-                                              tags _pid and its
-                                              write_units sorts on it, a
-                                              second shuffle]
+                                              assembles and writes each
+                                              bucket as one checkpoint
+                                              unit in the same task]
 
-The operators the first four steps become depend on the cluster
-(``_spans_of``). On one CPU in "tasks" mode the read is one task
-(``read_pages``) and demux and extract take whole blocks, so Ray fuses
-all four into ONE operator, one task per read block (bounded by
-``DataContext.target_max_block_size``), and the sort shuffle follows.
-On two or more CPUs the read is its own operator, then the skew
-router (or row-count demux batches), then extract + add_bucket.
+``bucketed_spans`` is the first four steps; their operators depend on
+the cluster (``_spans_of``). On one CPU in "tasks" mode the read is
+one task (``read_pages``) and demux and extract take whole blocks, so
+Ray fuses all four into ONE operator, one task per read block (bounded
+by ``DataContext.target_max_block_size``), and the sort shuffle
+follows. On two or more CPUs the read is its own operator, then the
+skew router (or row-count demux batches), then extract + add_bucket.
 
 Never calls ray.init(); callers own the session (driver contract).
 """
@@ -157,36 +157,39 @@ def _spans_of(pages_ds, cfg: PipelineConfig, demux_bs: int,
         num_cpus=cfg.extract_num_cpus)
 
 
-def extract_docs(pages_ds, cfg: PipelineConfig = DEFAULT_CONFIG,
-                 est_bytes: int | None = None):
-    """pages Dataset -> docs Dataset (url, text, n_cues). Lazy.
-
-    The page-to-span operators follow the cluster (``_spans_of``; see
+def bucketed_spans(pages_ds, cfg: PipelineConfig, n_buckets: int):
+    """pages Dataset -> spans tagged ``_bucket = sha1(url) % n_buckets``,
+    lazily, by the operators ``_spans_of`` picks for the cluster (see
     ``PipelineConfig.skew_block_bytes`` for the skew router)."""
     spans = _spans_of(pages_ds, cfg, cfg.demux_batch_size,
                       cfg.extract_batch_size)
     # shuffle on a hash bucket, not the raw url: the sort-based shuffle
     # then moves small-int keys and per-group overhead is paid per
     # bucket (B groups) instead of per url (millions at scale); the
-    # same sha1(url) keying the checkpoint sink uses (state/checkpoint)
+    # same sha1(url) keying as the checkpoint units (state/checkpoint)
     from ..state.checkpoint import partition_ids
-    from .reduce import buckets_for
-    # each assembly bucket arrives as one frame => data-sized count
-    # (cfg.assemble_buckets is the parallelism floor; the shuffled
-    # spans are extracted TEXT, far below the page bytes upper bound)
-    n_buckets = buckets_for(est_bytes, floor=cfg.assemble_buckets)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column("_bucket", pa.array(
             partition_ids(batch.column("url"), n_buckets), pa.int32()))
 
+    return spans.map_batches(add_bucket, batch_format="pyarrow")
+
+
+def extract_docs(pages_ds, cfg: PipelineConfig = DEFAULT_CONFIG,
+                 est_bytes: int | None = None):
+    """pages Dataset -> docs Dataset (url, text, n_cues). Lazy."""
+    from .reduce import buckets_for
+    # each assembly bucket arrives as one frame => data-sized count
+    # (cfg.assemble_buckets is the parallelism floor; the shuffled
+    # spans are extracted TEXT, far below the page bytes upper bound)
+    n_buckets = buckets_for(est_bytes, floor=cfg.assemble_buckets)
     assemble = functools.partial(assemble_bucket,
                                  skip_merge=cfg.skip_merge,
                                  force_merge_all=cfg.force_merge_all)
-    docs = (spans.map_batches(add_bucket, batch_format="pyarrow")
+    return (bucketed_spans(pages_ds, cfg, n_buckets)
             .groupby("_bucket")
             .map_groups(assemble, batch_format="pyarrow"))
-    return docs
 
 
 def extract_corpus_docs(corpus: str, cfg: PipelineConfig = DEFAULT_CONFIG):

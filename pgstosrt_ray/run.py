@@ -44,7 +44,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--tesseractlanguage", default=None,
                    help="OCR language; must exist in --tessdata; default "
                         "= '+'-join of all available (TesseractData.cs:18-45)")
-    p.add_argument("--partitions", type=int, default=16)
+    p.add_argument("--partitions", type=int, default=16,
+                   help="extract mode: the floor of the checkpoint unit "
+                        "count; each unit is one assembly bucket, "
+                        "sha1(url) %% max(this, input bytes / 64 MiB)")
     p.add_argument("--num-cpus", type=int, default=None)
     p.add_argument("--mode", choices=["extract", "dedup"],
                    default="extract",

@@ -30,12 +30,10 @@ The primitive has three parts:
 
 Five families use it:
 
-- extract (``run_checkpointed`` below): unit = sha1(url) % P
-  (P = ``num_partitions``), so every url lands in one unit. The
-  assembly shuffle hashes the same sha1(url) but modulo its own
-  data-sized bucket count B (``reduce.buckets_for``), so a unit
-  gathers rows from several assembly buckets. The guard records the
-  output-shaping config fields and the input files;
+- extract (``run_checkpointed`` below): unit = assembly bucket =
+  sha1(url) % n, n data-sized with ``num_partitions`` as its floor;
+  each unit is assembled and written in one ``map_groups`` task (ONE
+  shuffle). The guard records n, the output-shaping config and input;
 - minhash, simhash, embedding (``state/dedup_checkpoint.py``):
   ``sigs/`` units are sha1(doc_id) % parts, ``pairs/`` units are salted
   (band, key) shuffle groups, ``labels/`` holds the converged labels;
@@ -279,28 +277,33 @@ def read_output(out_dir: str) -> pa.Table:
 
 def run_checkpointed(corpus: str, out_dir: str, cfg=None,
                      fail_after_parts: int | None = None) -> dict:
-    """Run the extraction pipeline with per-partition checkpointing.
+    """Run the extraction pipeline with per-unit checkpointing and ONE
+    shuffle: the unit is the assembly bucket, sha1(url) % n with n =
+    ``reduce.buckets_for(input bytes, floor=num_partitions)`` (n ==
+    ``num_partitions`` below num_partitions x 64 MiB of pages), so
+    ``write_units`` assembles and writes each unit in one
+    ``map_groups`` task and the unit count is the assembly parallelism.
 
-    The guard admits a resume only with the same output-shaping config
-    (partition count, merge flags, language filters) and the same
-    input files (name + size of ``pages/*.parquet``); sizing fields
-    (batch sizes, concurrency, skew blocks, extract mode) may change.
-    Completed partitions are filtered out AT THE READ, so no
-    demux/extract work happens for them; the rest are written from the
-    workers (single-node: same filesystem; multi-node: out_dir is
-    shared storage). ``fail_after_parts`` is the fault hook of
-    ``write_units``. Returns run metrics.
+    The guard records n as ``num_partitions`` and admits a resume only
+    with the same n, merge flags, language filters and input files
+    (name + size of ``pages/*.parquet``); sizing fields (batch sizes,
+    concurrency, skew blocks, extract mode) may change. Completed units
+    are filtered out AT THE READ, so no demux/extract work happens for
+    them; the rest are written from the workers (multi-node: out_dir
+    is shared storage). ``fail_after_parts`` is ``write_units``' fault
+    hook. Returns run metrics.
     """
     from ..config import DEFAULT_CONFIG
-    from ..pipelines.extract import extract_docs
-    from ..pipelines.reduce import input_bytes
+    from ..pipelines.extract import bucketed_spans
+    from ..pipelines.reduce import buckets_for, input_bytes
     from ..sources.pages import read_pages
+    from ..stages.assemble import assemble_bucket
 
     cfg = cfg or DEFAULT_CONFIG
-    num_parts = cfg.num_partitions
     pages_dir = os.path.join(corpus, "pages")
+    n = buckets_for(input_bytes(pages_dir), floor=cfg.num_partitions)
     done = stage_guard(out_dir, {
-        "family": "extract", "num_partitions": num_parts,
+        "family": "extract", "num_partitions": n,
         "skip_merge": cfg.skip_merge,
         "force_merge_all": cfg.force_merge_all, "lang": cfg.lang,
         "ocr_language": cfg.ocr_language,
@@ -308,15 +311,9 @@ def run_checkpointed(corpus: str, out_dir: str, cfg=None,
                         for f in os.listdir(pages_dir)
                         if f.endswith(".parquet"))})
 
-    def pids_of(batch: pa.Table):
-        return partition_ids(batch.column("url"), num_parts)
-
-    def add_pid(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_pid", pa.array(pids_of(batch), pa.int32()))
-
     def build(group: pa.Table):
-        table = group.drop_columns(["_pid"]).sort_by("url")
+        table = assemble_bucket(group, skip_merge=cfg.skip_merge,
+                                force_merge_all=cfg.force_merge_all)
         sha = hashlib.sha256()
         for url, text in zip(table.column("url").to_pylist(),
                              table.column("text").to_pylist()):
@@ -324,11 +321,10 @@ def run_checkpointed(corpus: str, out_dir: str, cfg=None,
             sha.update(text.encode())
         return table, {"content_sha256": sha.hexdigest()}
 
-    pages = skip_done(read_pages(corpus, lang=cfg.lang), done, pids_of)
-    docs = extract_docs(pages, cfg, est_bytes=input_bytes(pages_dir))
-    docs = docs.map_batches(add_pid, batch_format="pyarrow")
-    m = write_units(docs, "_pid", out_dir, build, num_parts, done,
-                    fail_after_parts)
+    pages = skip_done(read_pages(corpus, lang=cfg.lang), done,
+                      lambda b: partition_ids(b.column("url"), n))
+    m = write_units(bucketed_spans(pages, cfg, n), "_bucket", out_dir,
+                    build, n, done, fail_after_parts)
     run = {"written_partitions": m["written"],
            "skipped_partitions": m["skipped"],
            "wall_time_s": m["wall_time_s"]}

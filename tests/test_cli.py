@@ -51,7 +51,8 @@ def test_cli_end_to_end(tmp_path):
 
 def test_cli_one_cpu_runs_the_fused_operator(tmp_path):
     """On a real one-CPU cluster the run records ONE operator from the
-    read to the bucket tag, writes the golden and resumes."""
+    read to the bucket tag and ONE sort shuffle, writes the golden and
+    resumes."""
     corpus = materialize_corpus("tiny", 30, seed=7)
     out = str(tmp_path / "out")
     args = ["--input", corpus, "--output", out,
@@ -69,6 +70,10 @@ def test_cli_one_cpu_runs_the_fused_operator(tmp_path):
     assert stages[:sort] == [
         "ReadParquet->MapBatches(demux_batch)->MapBatches(_task_extract)"
         "->MapBatches(add_bucket)"], stages
+    # one shuffle: the assembly bucket is the checkpoint unit
+    assert [n for n in stages if "Sort" in n] == [
+        "SortMap", "SortReduce"], stages
+    assert not any("add_pid" in n for n in stages), stages
     res2 = _run_cli(args)
     assert res2.returncode == 0, res2.stderr[-2000:]
     m2 = json.loads(res2.stdout.strip().splitlines()[-1])

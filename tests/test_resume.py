@@ -140,6 +140,10 @@ def test_run_manifest_has_stage_metrics(ray_session, small_dir, tmp_path):
     # the extract stage must be among the reported stages
     assert any("xtract" in st["stage"] or "MapBatches" in st["stage"]
                for st in stages)
+    # one shuffle on the router plan too: assembly and write share it
+    names = [st["stage"] for st in stages]
+    assert [n for n in names if "Sort" in n] == ["SortMap", "SortReduce"]
+    assert not any("add_pid" in n for n in names), names
 
 
 def test_assembly_buckets_sized_from_input(ray_session, small_dir,
@@ -161,3 +165,45 @@ def test_assembly_buckets_sized_from_input(ray_session, small_dir,
     want = reduce.input_bytes(os.path.join(small_dir, "pages"))
     assert want > 0
     assert seen == [want]
+
+
+def test_units_sized_from_input(ray_session, small_dir, tmp_path,
+                                monkeypatch):
+    """Above num_partitions x the bucket byte target the unit count
+    follows the input: every unit is one assembly bucket, its manifest
+    hashes its own rows, and the guard records the resolved count."""
+    import hashlib
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from pgstosrt_ray.pipelines import reduce
+    n = 11
+    monkeypatch.setattr(reduce, "buckets_for",
+                        lambda est_bytes=None, **kw: n)
+    out = str(tmp_path / "out")
+    metrics = run_checkpointed(small_dir, out, _cfg())
+    assert metrics["written_partitions"] == n
+    with open(os.path.join(out, "_stage.json")) as f:
+        assert json.load(f)["num_partitions"] == n
+    got = read_output(out)
+    golden = read_golden(small_dir)
+    assert got.sort_by("url").equals(golden.sort_by("url"))
+    for k in range(n):
+        with open(os.path.join(out, "_manifest", f"{k}.json")) as f:
+            manifest = json.load(f)
+        path = os.path.join(out, f"part={k}", "data.parquet")
+        rows = (pq.read_table(path).to_pylist() if os.path.exists(path)
+                else [])
+        assert manifest["n_rows"] == len(rows)
+        assert all(partition_of(r["url"], n) == k for r in rows)
+        if rows:
+            sha = hashlib.sha256()
+            for r in rows:
+                sha.update(r["url"].encode())
+                sha.update(r["text"].encode())
+            assert manifest["content_sha256"] == sha.hexdigest()
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"'num_partitions': \(11, 8\)"):
+        run_checkpointed(small_dir, out, _cfg())

@@ -17,7 +17,8 @@ from pgstosrt_ray.pipelines import reduce
 from pgstosrt_ray.pipelines.extract import extract_docs
 from pgstosrt_ray.sources.pages import (materialize_corpus, read_golden,
                                         read_pages)
-from pgstosrt_ray.state.checkpoint import stage_metrics
+from pgstosrt_ray.state.checkpoint import (read_output, run_checkpointed,
+                                           stage_metrics)
 
 
 def _pages_table(rows):
@@ -182,6 +183,23 @@ def test_many_cpu_plan_keeps_the_router(ray_session, monkeypatch, tmp_path,
     assert "demux" not in maps[0]
     assert "MapBatches(_demux_router)" in maps
     assert not any("demux_batch" in m for m in maps), maps
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_giant_payload_checkpointed(ray_session, monkeypatch, tmp_path,
+                                    skewed_pages, cpus):
+    """The giant payload through the checkpointed run (assembly and
+    write in one map_groups) equals the oracle on both plans."""
+    _cpus(monkeypatch, cpus)
+    d = _corpus_of(tmp_path, skewed_pages)
+    out = str(tmp_path / "out")
+    cfg = dataclasses.replace(PipelineConfig.sized_for(cpus),
+                              num_partitions=4)
+    assert run_checkpointed(d, out, cfg)["written_partitions"] == 4
+    got = read_output(out)
+    assert {u: (t, n) for u, t, n in zip(
+        got.column("url").to_pylist(), got.column("text").to_pylist(),
+        got.column("n_cues").to_pylist())} == _oracle(skewed_pages)
 
 
 def test_one_cpu_actor_pool_still_raises(ray_session, monkeypatch, tmp_path,
