@@ -1,7 +1,9 @@
 """Benchmark harness (driver contract + SURVEY §6).
 
 ``python bench.py``            -> ONE JSON line: headline end-to-end
-                                  extraction seconds + per-query secs.
+                                  extraction seconds + per-query secs,
+                                  with ``host`` and ``host.calib_s``
+                                  (perfbench/probe.py).
 ``python bench.py --scaling``  -> two fresh-process runs at 8 and 32
                                   CPUs on the SAME input; reports both
                                   throughputs + scaling efficiency.
@@ -38,8 +40,23 @@ def _sf_of(path: str) -> float:
         return -1.0
 
 
+def _host() -> dict:
+    """``host`` and ``host.calib_s`` from perfbench/probe.py: the host
+    record (nproc, memory) and the fixed CPU calibration kernel's
+    seconds, so a noisy window shows in the result line itself."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_probe", os.path.join(os.path.dirname(
+            os.path.abspath(__file__)), "perfbench", "probe.py"))
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return {"host": probe.host_record(),
+            "host.calib_s": round(probe.calibration_s(), 4)}
+
+
 def run_bench() -> dict:
     import logging
+    host = _host()
 
     # corpus materialization is untimed (cached, one-time)
     from pgstosrt_ray.sources.pages import materialize_corpus, read_pages
@@ -113,7 +130,7 @@ def run_bench() -> dict:
             "value_cold": headline_cold_sec,
             "unit": "sec", "queries": {}, "sf": _sf_of(SF_DIR),
             "num_cpus": NUM_CPUS, "n_docs": n_docs,
-            "docs_per_sec": round(n_docs / headline_sec, 2),
+            "docs_per_sec": round(n_docs / headline_sec, 2), **host,
         }
         ray.shutdown()
         return result
@@ -163,6 +180,7 @@ def run_bench() -> dict:
         "num_cpus": NUM_CPUS,
         "n_docs": n_docs,
         "docs_per_sec": round(n_docs / headline_sec, 2) if headline_sec else 0,
+        **host,
     }
     ray.shutdown()
     return result
@@ -204,6 +222,9 @@ def run_scaling() -> dict:
         "docs_per_sec_32": hi["docs_per_sec"],
         "sf": lo["sf"],
         "pass_0_8": eff >= 0.8,
+        "host": lo["host"],
+        "host.calib_s_passes": [r["host.calib_s"]
+                                for r in lo_runs + hi_runs],
     }
 
 

@@ -922,7 +922,8 @@ def q_tfidf_top_term(sf_dir: str):
     dfreq = materialize_nonempty(bucketed_group_agg(
         counts.select_columns(["tok"]), ["tok"],
         lambda g: g.groupby("tok", as_index=False).agg(df=("tok", "count")),
-        est_bytes=input_bytes(f"{sf_dir}/documents.parquet")))
+        est_bytes=input_bytes(f"{sf_dir}/documents.parquet"),
+        schema=pa.schema([("tok", pa.string()), ("df", pa.int64())])))
 
     def top1(g: pd.DataFrame) -> pd.DataFrame:
         return (g.sort_values(["doc_id", "score", "tok"],
@@ -940,7 +941,9 @@ def q_tfidf_top_term(sf_dir: str):
         .map_batches(score, batch_format="pyarrow")
     return bucketed_group_agg(
         scored, ["doc_id"], top1,
-        est_bytes=input_bytes(f"{sf_dir}/documents.parquet"))
+        est_bytes=input_bytes(f"{sf_dir}/documents.parquet"),
+        schema=pa.schema([("doc_id", pa.int64()), ("tok", pa.string()),
+                          ("score", pa.float64())]))
 
 
 SQL_TFIDF_TOP_TERM = """

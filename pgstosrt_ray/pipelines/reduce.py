@@ -18,7 +18,10 @@ domains that grow with the corpus.
 
 ``attach`` is the one keyed re-attach (a counted broadcast below
 ``BROADCAST_BYTES``, sized hash joins above it) and
-``broadcast_fits`` the one gate that decides it.
+``broadcast_fits`` the one gate that decides it. The same gate sizes
+``bucketed_group_agg``: an input counted at or below the bound runs
+its aggregation once on the driver instead of through the shuffle.
+``BROADCAST_BYTES = -1`` forces the distributed side of both.
 """
 
 from __future__ import annotations
@@ -341,7 +344,7 @@ def bucketed_group_agg(ds, key_cols, agg_fn, buckets: int | None = None,
                        domain_bound: str | None = None,
                        schema: pa.Schema | None = None):
     """High-cardinality grouped aggregation via the salted-bucket
-    pattern: tag ``_b = row_hash(key_cols) % B``, ONE groupby over B
+    pattern: tag ``_b = hash(key_cols) % B``, ONE groupby over B
     buckets, vectorized pandas aggregation per bucket.
 
     Why not ``ds.groupby(key_cols).aggregate(...)``: Ray's hash
@@ -364,6 +367,19 @@ def bucketed_group_agg(ds, key_cols, agg_fn, buckets: int | None = None,
     in-process frame, so callers whose grouped rows grow with the
     corpus must size it.
 
+    One counted gate (``broadcast_fits``, the bound ``attach`` takes)
+    picks the degree of parallelism at run time. An ``est_bytes``
+    above ``BROADCAST_BYTES`` goes straight to the shuffle. Otherwise
+    the input is materialized (the shuffle would hold all of it in the
+    object store anyway) and its ``size_bytes()`` counted from block
+    metadata: at or below the bound, its blocks are collected and
+    ``agg_fn`` runs ONCE on the driver over the whole frame, which is
+    the B = 1 case of the invariance above, with no tag, no sort and
+    none of Ray's per-task scheduling; above it, the shuffle runs on
+    the materialized input. ``BROADCAST_BYTES = -1`` forces the
+    shuffle. The tag hashes each key column's numpy view inside an
+    Arrow batch.
+
     Every call must state its scale contract IN CODE (round-4 verdict
     #3): pass ``buckets``/``est_bytes`` to size the shuffle from the
     data, or ``domain_bound`` — a short sentence saying why the
@@ -376,42 +392,62 @@ def bucketed_group_agg(ds, key_cols, agg_fn, buckets: int | None = None,
     ``schema`` pins the output's Arrow types: a bucket frame whose
     nullable column is all NaT/None converts to Arrow ``null``, which
     makes blocks schema-inconsistent (concat_tables and driver-side
-    collection break); the cast restores the declared type. The
-    shuffle then moves Arrow blocks: its empty blocks skip every UDF
-    and keep their input format, and a pandas one among the cast
+    collection break); the cast restores the declared type, and a
+    zero-row input on the driver side answers ``schema``'s empty
+    table. The shuffle moves Arrow blocks: its empty blocks skip every
+    UDF and keep their input format, and a pandas one among the cast
     Arrow blocks breaks ``to_arrow_refs``."""
+    import ray.data
+    from ray.data.block import BlockAccessor
     if buckets is None and est_bytes is None and domain_bound is None:
         raise ValueError(
             "bucketed_group_agg needs its scale contract: pass "
             "buckets=/est_bytes= to size buckets from the data, or "
             "domain_bound='why this key domain is bounded' to ride "
             "the cluster floor deliberately")
+
+    def cast(t: pa.Table) -> pa.Table:
+        return pa.table([t.column(f.name).cast(f.type) for f in schema],
+                        schema=schema)
+
+    if est_bytes is None or broadcast_fits(est_bytes):
+        ds = ds.materialize()
+        if broadcast_fits(ds.size_bytes() or 0):
+            tab = _collect(ds)
+            if tab is not None:
+                out = BlockAccessor.for_block(agg_fn(
+                    BlockAccessor.for_block(tab).to_pandas())).to_arrow()
+                return ray.data.from_arrow(
+                    out if schema is None else cast(out))
+            if schema is not None:
+                return ray.data.from_arrow(schema.empty_table())
+            # zero rows and no declared output schema to answer with:
+            # the shuffle's empty answer
     B = buckets or buckets_for(est_bytes)
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[key_cols],
-                                       index=False).to_numpy()
-        df = df.copy()
-        df["_b"] = (h % B).astype("int32")
-        return df
+    def tag(t: pa.Table) -> pa.Table:
+        h = np.zeros(t.num_rows, np.uint64)
+        for c in key_cols:
+            col = t.column(c)
+            if pa.types.is_integer(col.type):
+                # one representation per value in every block: an int
+                # column with nulls would otherwise reach numpy as
+                # float (unsafe: uint64 past 2^63 keeps its bits)
+                col = pc.fill_null(pc.cast(col, pa.int64(), safe=False), 0)
+            h = h * np.uint64(0x100000001B3) ^ pd.util.hash_array(
+                col.to_numpy(zero_copy_only=False))
+        return t.append_column("_b", pa.array(
+            (h % np.uint64(B)).astype(np.int32)))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # pandas return required (Arrow from a pandas map_groups
         # breaks Ray's multi-block group merge at high parallelism)
         return agg_fn(g.drop(columns=["_b"]))
 
-    tagged = ds.map_batches(tag, batch_format="pandas")
-    if schema is None:
-        return tagged.groupby("_b").map_groups(per_bucket,
-                                               batch_format="pandas")
-
-    def cast(t: pa.Table) -> pa.Table:
-        return pa.table([t.column(f.name).cast(f.type) for f in schema],
-                        schema=schema)
-
-    return (tagged.map_batches(lambda t: t, batch_format="pyarrow")
-            .groupby("_b").map_groups(per_bucket, batch_format="pandas")
-            .map_batches(cast, batch_format="pyarrow"))
+    out = (ds.map_batches(tag, batch_format="pyarrow")
+           .groupby("_b").map_groups(per_bucket, batch_format="pandas"))
+    return out if schema is None else out.map_batches(
+        cast, batch_format="pyarrow")
 
 
 def materialize_nonempty(ds, fallback_schema: pa.Schema | None = None):
@@ -463,10 +499,17 @@ def broadcast_fits(est_bytes: int) -> bool:
 
 
 def _collect(ds) -> pa.Table | None:
-    """The rows of ``ds`` on the driver (None when it has none)."""
+    """The rows of ``ds`` on the driver (None when it has none): its
+    non-empty blocks, pandas or Arrow, concatenated with type promotion
+    (an all-None column is Arrow ``null`` in one block and typed in
+    another)."""
     import ray
-    tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    return pa.concat_tables(tabs) if tabs else None
+    from ray.data.block import BlockAccessor
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+    tabs = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+    return (pa.concat_tables(tabs, promote_options="permissive")
+            if tabs else None)
 
 
 def referenced(left, cols, right, key: str, right_bytes: int):

@@ -597,7 +597,7 @@ def q_window_funnel(sf_dir: str):
                              "funnel_depth": depth})
 
     schema = pa.schema([("user_id", pa.int64()),
-                        ("funnel_depth", pa.int64())])
+                        ("funnel_depth", pa.int32())])
     return bucketed_group_agg(ds, ["user_id"], funnel, schema=schema,
                               est_bytes=_table_bytes(sf_dir, "events"))
 

@@ -60,18 +60,26 @@ def test_input_bytes_grows_with_replication(tmp_path):
     assert parquet_rows(str(tmp_path)) == 10000
 
 
-def test_no_bucket_frame_beyond_target(ray_session, tmp_path):
-    """Scale smoke: with a data-derived B, no map_groups task sees a
-    frame materially beyond total/B (the fixed-64 family saw
-    corpus/64 regardless of corpus size)."""
-    from pgstosrt_ray.pipelines.reduce import bucketed_group_agg
-
-    n = 20_000
+def _events(tmp_path, n: int = 20_000) -> str:
     rng = np.random.RandomState(3)
     t = pa.table({"user_id": pa.array(rng.randint(0, 997, n), pa.int64()),
                   "v": pa.array(rng.standard_normal(n))})
     path = os.path.join(tmp_path, "events.parquet")
     pq.write_table(t, path)
+    return path
+
+
+def test_no_bucket_frame_beyond_target(ray_session, tmp_path, monkeypatch):
+    """Scale smoke: with a data-derived B, no map_groups task sees a
+    frame materially beyond total/B (the fixed-64 family saw
+    corpus/64 regardless of corpus size). The bucket frames are the
+    shuffle side's, so the driver-side gate is forced off."""
+    from pgstosrt_ray.pipelines import reduce
+    from pgstosrt_ray.pipelines.reduce import bucketed_group_agg
+    monkeypatch.setattr(reduce, "BROADCAST_BYTES", -1)
+
+    n = 20_000
+    path = _events(tmp_path, n)
     import ray.data
     ds = ray.data.read_parquet(path)
     B = buckets_for(input_bytes(path), target_bytes=input_bytes(path) // 8,
@@ -87,6 +95,75 @@ def test_no_bucket_frame_beyond_target(ray_session, tmp_path):
     assert sizes.sum() == n
     # hash-balanced buckets: no frame beyond ~2x the even share
     assert sizes.max() <= 2 * (n // B)
+
+
+def test_small_input_aggregates_on_driver(ray_session, tmp_path,
+                                         monkeypatch):
+    """The counted gate: an input at or below BROADCAST_BYTES runs
+    agg_fn once on the driver (no groupby, hence no sort shuffle) and
+    answers what the forced shuffle does; an est_bytes above the bound
+    goes to the shuffle without materializing the input first."""
+    import ray.data
+    from pgstosrt_ray.pipelines import reduce
+    path = _events(tmp_path)
+    calls = []
+    for name in ("groupby", "materialize"):
+        real = getattr(ray.data.Dataset, name)
+        monkeypatch.setattr(
+            ray.data.Dataset, name,
+            lambda self, *a, _n=name, _r=real, **kw:
+            calls.append(_n) or _r(self, *a, **kw))
+
+    def agg(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("user_id", as_index=False).agg(
+            n=("v", "size"), s=("v", "sum"))
+
+    def run() -> tuple[pd.DataFrame, list]:
+        """(sorted answer, Dataset calls made by bucketed_group_agg)."""
+        calls.clear()
+        out = reduce.bucketed_group_agg(ray.data.read_parquet(path),
+                                        ["user_id"], agg,
+                                        est_bytes=input_bytes(path))
+        seen = list(calls)
+        return (out.to_pandas().sort_values("user_id", ignore_index=True),
+                seen)
+
+    local, seen = run()
+    assert "groupby" not in seen and "materialize" in seen
+    assert len(local) == 997 and local["n"].sum() == 20_000
+    for bound in (-1, input_bytes(path) - 1):
+        monkeypatch.setattr(reduce, "BROADCAST_BYTES", bound)
+        shuffled, seen = run()
+        assert seen == ["groupby"], bound
+        pd.testing.assert_frame_equal(local, shuffled)
+
+
+def test_shuffle_tag_hashes_a_key_alike_in_every_block(ray_session,
+                                                      monkeypatch):
+    """The shuffle's tag puts every row of a key in one bucket: uint64
+    keys past 2^63, and an int key in a block that also holds a null
+    (numpy sees that column as float), group as on the driver side."""
+    import ray.data
+    from pgstosrt_ray.pipelines import reduce
+    n = 4096    # blocks larger than a map batch: each is tagged apart
+    u = pa.array(np.tile(np.array([2**64 - 1, 2**63, 7], np.uint64),
+                         n)[:n])
+    k = np.arange(n) % 64
+    blocks = [pa.table({"u": u, "k": pa.array(k, pa.int64())}),
+              pa.table({"u": u, "k": pa.array(
+                  [None, *k[1:].tolist()], pa.int64())})]
+
+    def agg(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby(["u", "k"], as_index=False, dropna=False).size()
+
+    out = []
+    for bound in (reduce.BROADCAST_BYTES, -1):
+        monkeypatch.setattr(reduce, "BROADCAST_BYTES", bound)
+        out.append(reduce.bucketed_group_agg(
+            ray.data.from_arrow(blocks), ["u", "k"], agg, buckets=8)
+            .to_pandas().sort_values(["u", "k"], ignore_index=True))
+    assert out[0]["size"].sum() == 2 * n and len(out[0]) == 3 * 64 + 1
+    pd.testing.assert_frame_equal(out[0], out[1])
 
 
 def test_queries_use_derived_buckets(monkeypatch):

@@ -374,7 +374,7 @@ class TestOneShuffleOneFold:
             key = _groupby_key(node)
             if (module.split("/")[-1], key) not in _MAP_GROUPS_ALLOWED:
                 bad.append(f"{module}:{node.lineno} groupby({key!r})")
-        assert sites >= 8
+        assert sites >= 7   # 6 allowed sites + bucketed_group_agg
         assert bad == []
 
     def test_one_aggregate_fn(self):
@@ -845,3 +845,82 @@ def test_full_outer_join_with_one_empty_side(ray_session, tmp_path):
     got = _answer(extended.q_full_outer_join(str(tmp_path)))
     assert want.num_rows > 0
     assert got.sort_by("nationkey").equals(want.sort_by("nationkey"))
+
+
+# the schema-pinned window queries and the text_stats workload's
+# queries: each aggregates through reduce.bucketed_group_agg (all but
+# bm25_search, which folds)
+_WINDOW_QUERIES = ["window_fill", "asof_join", "asof_join_forward",
+                   "running_total", "rolling_sum", "window_funnel"]
+_TEXT_STATS_QUERIES = ["top_tokens", "idf_table", "bigram_pmi",
+                       "tfidf_top_term", "bm25_search", "unigram_logprob"]
+
+
+def _oracle_con(sf_dir: str):
+    import duckdb
+    con = duckdb.connect()
+    for f in os.listdir(sf_dir):
+        if f.endswith(".parquet"):
+            con.sql(f"CREATE VIEW {f[:-8]} AS SELECT * FROM "
+                    f"'{os.path.join(sf_dir, f)}'")
+    return con
+
+
+def _oracle_sql(name: str) -> str | None:
+    from pgstosrt_ray.pipelines import extended, relational, webops
+    return {**relational.ORACLE_SQL, **webops.ORACLE_SQL,
+            **extended.ORACLE_SQL}.get(name)
+
+
+def _sorted_frame(t: pa.Table) -> pd.DataFrame:
+    df = t.to_pandas()
+    df = df[sorted(df.columns)]
+    return df.sort_values(list(df.columns), ignore_index=True)
+
+
+@pytest.mark.parametrize("name", _TEXT_STATS_QUERIES + _WINDOW_QUERIES)
+def test_bucketed_shuffle_side_matches_oracle(ray_session, monkeypatch,
+                                              name):
+    """BROADCAST_BYTES = -1 forces every bound onto its distributed
+    side (the keyed-bucket shuffle, attach's hash joins); each answer
+    still equals its DuckDB or golden oracle at sf0.001."""
+    import ray.data
+    import __ray_entry__
+    from pgstosrt_ray import golden
+    from pgstosrt_ray.pipelines import reduce
+    monkeypatch.setattr(reduce, "BROADCAST_BYTES", -1)
+    keys, real = [], ray.data.Dataset.groupby
+    monkeypatch.setattr(ray.data.Dataset, "groupby",
+                        lambda self, key, **kw: keys.append(key)
+                        or real(self, key, **kw))
+    got = _answer(__ray_entry__.queries()[name](SF_DIR))
+    # bm25_search folds; every other query shuffles on the bucket tag
+    assert ("_b" in keys) == (name != "bm25_search"), keys
+    sql, con = _oracle_sql(name), _oracle_con(SF_DIR)
+    want = (con.sql(sql).arrow() if sql
+            else golden.GOLDEN_BUILDERS[name][0](SF_DIR))
+    if not isinstance(want, pa.Table):
+        want = pa.Table.from_pandas(want, preserve_index=False)
+    assert got.num_rows > 0
+    pd.testing.assert_frame_equal(_sorted_frame(got), _sorted_frame(want),
+                                  check_dtype=False)
+
+
+def test_pinned_bucketed_queries_typed_like_oracle(ray_session, tmp_path):
+    """The six schema-pinned window queries and tfidf_top_term return
+    the DuckDB oracle's Arrow types at sf0.001 and on a zero-row copy
+    of it (a zero-row input answers its pinned schema's empty table)."""
+    import __ray_entry__
+    qs, bad = __ray_entry__.queries(), []
+    empty = _empty_copy(tmp_path)
+    for sf in (SF_DIR, empty):
+        con = _oracle_con(sf)
+        for name in _WINDOW_QUERIES + ["tfidf_top_term"]:
+            want = _fields(con.sql(_oracle_sql(name)).arrow())
+            try:
+                got = _fields(_answer(qs[name](sf)))
+            except Exception as e:        # noqa: BLE001 - reported below
+                got = f"{type(e).__name__}: {str(e)[:120]}"
+            if got != want:
+                bad.append(f"{sf} {name}: {got} != {want}")
+    assert not bad, "\n".join(bad)
