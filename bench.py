@@ -3,7 +3,9 @@
 ``python bench.py``            -> ONE JSON line: headline end-to-end
                                   extraction seconds + per-query secs,
                                   with ``host`` and ``host.calib_s``
-                                  (perfbench/probe.py).
+                                  (perfbench/probe.py) and ``layers``,
+                                  the last steady headline pass's
+                                  operator table (perfbench/traced.py).
 ``python bench.py --scaling``  -> two fresh-process runs at 8 and 32
                                   CPUs on the SAME input; reports both
                                   throughputs + scaling efficiency.
@@ -40,18 +42,39 @@ def _sf_of(path: str) -> float:
         return -1.0
 
 
+def _perfbench(name: str):
+    """``perfbench/<name>.py`` loaded by file path (perfbench is a
+    directory of scripts, not a package); its sibling imports resolve
+    from that directory."""
+    import importlib.util
+    here = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "perfbench")
+    sys.path.insert(0, here)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", os.path.join(here, f"{name}.py"))
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    finally:
+        sys.path.remove(here)
+    return mod
+
+
 def _host() -> dict:
     """``host`` and ``host.calib_s`` from perfbench/probe.py: the host
     record (nproc, memory) and the fixed CPU calibration kernel's
     seconds, so a noisy window shows in the result line itself."""
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_probe", os.path.join(os.path.dirname(
-            os.path.abspath(__file__)), "perfbench", "probe.py"))
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
+    probe = _perfbench("probe")
     return {"host": probe.host_record(),
             "host.calib_s": round(probe.calibration_s(), 4)}
+
+
+def _layers(ds) -> dict[str, float]:
+    """The per-layer table of an executed dataset: each Ray Data
+    operator's wall, CPU and UDF seconds, rows and bytes out and task
+    count (perfbench/traced.py's ``op_table``)."""
+    return {k: round(v, 4)
+            for k, v in _perfbench("traced").op_table(ds).items()}
 
 
 def run_bench() -> dict:
@@ -102,6 +125,7 @@ def run_bench() -> dict:
         for b in ds.iter_batches(batch_format="pyarrow"):
             n += b.num_rows
         n_docs_holder["n"] = n
+        n_docs_holder["ds"] = ds
 
     # first pass = cold (includes Ray worker/pool spin-up: reported as
     # value_cold); headline = BEST of two steady-state passes (the
@@ -120,6 +144,7 @@ def run_bench() -> dict:
     else:
         steady_passes = [timed(headline), timed(headline)]
         headline_sec = min(steady_passes)
+        layers = _layers(n_docs_holder["ds"])
 
     queries: dict[str, float] = {}
     if SCALING_MODE:
@@ -180,6 +205,7 @@ def run_bench() -> dict:
         "num_cpus": NUM_CPUS,
         "n_docs": n_docs,
         "docs_per_sec": round(n_docs / headline_sec, 2) if headline_sec else 0,
+        "layers": layers,
         **host,
     }
     ray.shutdown()

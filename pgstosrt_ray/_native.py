@@ -1,6 +1,18 @@
-"""Optional C kernels for the per-pixel loops of the extract stage: a
-single-object cue costs two calls, one per kernel.
+"""Optional C kernels for the per-byte loops of the demux and extract
+stages: a demux batch costs one call, a single-object cue two.
 
+- ``demux_walk``: the SUP segment walk of a whole batch of payloads
+  (~2us per segment in CPython). One pass over the batch buffer walks
+  each payload's 13-byte framing with the state machine of
+  parse.parse_segment_stream + _process_segment, malformed-body skips,
+  live fragment lists and twice-completed sets included, and emits
+  flat arrays: per cue its scalars and the last palette version, per
+  PCS object x and y, per found bitmap object w, h and the RLE bytes
+  merge.reassemble_fragments would join. stages/demux.py builds the
+  cue columns from them. Matroska payloads are flagged, not walked.
+  Reference: parse.parse_payload + merge.reassemble_fragments, which
+  tests compare it against and which demux runs for Matroska
+  payloads.
 - ``rle_decode_index``: the RLE opcode walk (~1.3us per opcode in
   CPython). It mirrors the cursor arithmetic of the Python loop in
   format.rle_decode_runs (reference semantics,
@@ -23,7 +35,9 @@ single-object cue costs two calls, one per kernel.
 Compiled on first use with the system C compiler into a shared object
 cached under the temp dir (keyed by a hash of the source, so each
 source version compiles once per temp dir). Without a compiler every
-wrapper returns None and the caller runs the numpy/Python reference.
+wrapper returns None and the caller runs the Python/numpy reference:
+demux walks every payload with parse.parse_payload, extract decodes
+with numpy.
 """
 
 from __future__ import annotations
@@ -215,6 +229,320 @@ int scan_ocr(const uint8_t* idx, const uint8_t* written,
     }
     return need;
 }
+
+/* ---- demux: the SUP segment walk (parse.parse_segment_stream) ---- */
+
+#include <stdlib.h>
+
+#define SEG_PDS 0x14
+#define SEG_ODS 0x15
+#define SEG_PCS 0x16
+#define SEG_END 0x80
+#define ST_EPOCH_START 2
+#define ST_INVALID 4
+
+/* one ODS fragment: a byte range of the batch buffer, chained into
+   its object's fragment list */
+typedef struct { long long off, len; int next; } Frag;
+/* an object's live fragment list: a later continuation ODS appends to
+   it, and every cue that completed with it sees the append */
+typedef struct { int head, tail, w, h; } FragList;
+typedef struct { int id, x, y, forced; } PcsObj;
+/* one parsed PCS (a DisplaySet); ``out`` holds slot indices, so a set
+   completed twice is one slot and a later end-time close changes both
+   rows */
+typedef struct {
+    long long start, end, pal_off, pal_len;
+    int comp_num, state, pal_update, width, height, pal_id;
+    int obj0, nobj, pal_count, ref0, nref;
+} Slot;
+
+typedef struct {
+    Slot* slot; int nslot, cslot;
+    int* out; int nout, cout;
+    PcsObj* obj; int nobj, cobj;
+    int* ref; int nref, cref;          /* completion -> fragment lists */
+    Frag* frag; int nfrag, cfrag;
+    FragList* list; int nlist, clist;
+    int* dict_list;                    /* object id -> list, valid when */
+    unsigned* dict_gen;                /* dict_gen[id] == gen */
+    unsigned gen;
+    int pal_count[256];                /* palette id -> versions held */
+    long long pal_off[256], pal_len[256];   /* ... and the last one */
+    int oom;
+} Walk;
+
+/* index of a new element at the end of *arr (n used of *cap), or -1
+   when the array cannot grow */
+static int push(void** arr, int* n, int* cap, size_t sz)
+{
+    if (*n == *cap) {
+        int nc = *cap ? 2 * *cap : 64;
+        void* q = realloc(*arr, (size_t) nc * sz);
+        if (!q) return -1;
+        *arr = q; *cap = nc;
+    }
+    return (*n)++;
+}
+
+#define PUSH(w, a, n, c) push((void**) &(w)->a, &(w)->n, &(w)->c, \
+                              sizeof(*(w)->a))
+
+static int be16p(const uint8_t* p) { return (p[0] << 8) | p[1]; }
+
+/* parse._complete_pcs on slot s. For a SUP stream last_palettes stays
+   empty, so ``palettes if palettes else last_palettes`` is palettes. */
+static int complete(Walk* w, int s)
+{
+    Slot* sl = &w->slot[s];
+    if (sl->state == ST_INVALID) return 0;
+    if (sl->nobj == 0) return 1;
+    int pid = sl->pal_id;
+    if (!w->pal_count[pid]) return 0;
+    sl->pal_count = w->pal_count[pid];
+    sl->pal_off = w->pal_off[pid];
+    sl->pal_len = w->pal_len[pid];
+    sl->ref0 = w->nref;
+    sl->nref = 0;
+    for (int k = 0; k < sl->nobj; k++) {
+        int id = w->obj[sl->obj0 + k].id;
+        if (w->dict_gen[id] != w->gen) continue;
+        int r = PUSH(w, ref, nref, cref);
+        if (r < 0) { w->oom = 1; return 0; }
+        w->ref[r] = w->dict_list[id];
+        sl->nref++;
+    }
+    return sl->nref > 0;
+}
+
+static void emit_out(Walk* w, int s)
+{
+    int i = PUSH(w, out, nout, cout);
+    if (i < 0) w->oom = 1; else w->out[i] = s;
+}
+
+static void clear_state(Walk* w)
+{
+    w->gen++;
+    memset(w->pal_count, 0, sizeof(w->pal_count));
+}
+
+/* The walk of one payload data[0:n) (absolute offset ``base`` in the
+   batch buffer) with the state machine of parse.parse_segment_stream
+   and _process_segment. A body the Python arm would index past (an
+   IndexError there) is skipped here after the same partial effects. */
+static void walk_payload(Walk* w, const uint8_t* data, long long n,
+                         long long base)
+{
+    int open = -1, force_first = 1;
+    long long pos = 0;
+    w->nslot = w->nout = w->nobj = w->nref = w->nfrag = w->nlist = 0;
+    clear_state(w);
+    while (pos + 13 <= n && !w->oom) {
+        const uint8_t* hdr = data + pos;
+        int type = 0;
+        long long size = 0, pts = 0;
+        if (hdr[0] == 0x50 && hdr[1] == 0x47) {
+            pts = ((long long) hdr[2] << 24) | (hdr[3] << 16)
+                  | (hdr[4] << 8) | hdr[5];
+            type = hdr[10];
+            size = be16p(hdr + 11);
+        }
+        long long bs = pos + 13;
+        if (bs + size > n) break;
+        const uint8_t* b = data + bs;
+        pos = bs + size;
+        if (type == SEG_PDS) {
+            if (open < 0) continue;
+            /* (size - 2) // 5 <= 0 for every size < 7, as in Python */
+            long long ps = size < 7 ? 0 : (size - 2) / 5;
+            if (ps <= 0) continue;
+            int pid = b[0];
+            if (!w->pal_count[pid]) w->pal_count[pid] = 1;
+            else if (!w->slot[open].pal_update) w->pal_count[pid]++;
+            /* else: pop the last version, append the new one */
+            w->pal_off[pid] = base + bs + 2;
+            w->pal_len[pid] = ps * 5;
+        } else if (type == SEG_ODS) {
+            if (open < 0 || size < 4) continue;
+            int id = be16p(b);
+            int first = (b[3] & 0x80) || force_first;
+            long long d0 = first ? 11 : 4;
+            if (first && size < 11) continue;
+            if (!w->slot[open].pal_update) {
+                int f = -1, l = -1;
+                if (first || w->dict_gen[id] == w->gen) {
+                    f = PUSH(w, frag, nfrag, cfrag);
+                    if (f < 0) { w->oom = 1; return; }
+                    w->frag[f].off = base + bs + d0;
+                    w->frag[f].len = size - d0;
+                    w->frag[f].next = -1;
+                }
+                if (first) {
+                    l = PUSH(w, list, nlist, clist);
+                    if (l < 0) { w->oom = 1; return; }
+                    w->list[l].head = w->list[l].tail = f;
+                    w->list[l].w = be16p(b + 7);
+                    w->list[l].h = be16p(b + 9);
+                    w->dict_list[id] = l;
+                    w->dict_gen[id] = w->gen;
+                } else if (f >= 0) {
+                    l = w->dict_list[id];
+                    w->frag[w->list[l].tail].next = f;
+                    w->list[l].tail = f;
+                }
+            }
+            force_first = 0;
+        } else if (type == SEG_PCS) {
+            if (open >= 0 && complete(w, open)) emit_out(w, open);
+            force_first = 1;
+            int state = ST_INVALID, nobj = 0;
+            if (size >= 11) {
+                switch (b[7]) {
+                case 0x00: state = 0; break;
+                case 0x40: state = 1; break;
+                case 0x80: state = 2; break;
+                case 0xC0: state = 3; break;
+                }
+                if (state != ST_INVALID) nobj = b[10];
+                if (nobj && size < 11 + 8LL * nobj) continue;
+            }
+            int s = PUSH(w, slot, nslot, cslot);
+            if (s < 0) { w->oom = 1; return; }
+            Slot* sl = &w->slot[s];
+            memset(sl, 0, sizeof(*sl));
+            sl->start = pts;
+            sl->state = state;
+            if (size >= 11) {
+                sl->width = be16p(b);
+                sl->height = be16p(b + 2);
+                sl->comp_num = be16p(b + 5);
+                sl->pal_update = b[8] == 0x80;
+                sl->pal_id = b[9];
+            }
+            sl->obj0 = w->nobj;
+            for (int k = 0; k < nobj; k++) {
+                int o = PUSH(w, obj, nobj, cobj);
+                if (o < 0) { w->oom = 1; return; }
+                const uint8_t* e = b + 11 + 8 * k;
+                w->obj[o].id = be16p(e);
+                w->obj[o].forced = (e[3] & 0x40) != 0;
+                w->obj[o].x = be16p(e + 4);
+                w->obj[o].y = be16p(e + 6);
+            }
+            w->slot[s].nobj = nobj;
+            if (pts > 0 && w->nout && w->slot[w->out[w->nout - 1]].end == 0)
+                w->slot[w->out[w->nout - 1]].end = pts;
+            open = s;
+            if (state == ST_EPOCH_START) clear_state(w);
+        } else if (type == SEG_END) {
+            force_first = 1;
+            if (open >= 0) {
+                if (complete(w, open)) emit_out(w, open);
+                open = -1;
+            }
+        }
+    }
+    if (open >= 0 && complete(w, open)) emit_out(w, open);
+}
+
+/* The segment walk of every payload of a batch: payload r is
+   data[offsets[r]:offsets[r + 1]]. A payload with the Matroska magic
+   is not walked (mkv[r] = 1; the caller parses it), any other emits
+   one row per completed display set, or one seq = -1 sentinel row.
+   cap = (cues, PCS objects, bitmap objects, palette bytes, bitmap
+   bytes) sizes the outputs, which follow each other in i32, ticks and
+   bytes:
+     i32:   cue[8][cap0]      page, seq, comp_num, width, height,
+                              n_objects, forced, palette_count
+            offs[3][cap0 + 1] per cue: palette byte, PCS object and
+                              bitmap object offsets
+            xy[2][cap1]       per PCS object: x, y
+            wh[2][cap2]       per bitmap object: w, h
+            boffs[cap2 + 1]   per bitmap object: RLE byte offsets
+     ticks: [2][cap0]         start, end
+     bytes: palb[cap3]        each cue's last palette version
+            bmb[cap4]         each bitmap object's fragments joined,
+                              as merge.reassemble_fragments does
+   need gets the same five counts, and nothing is written past a cap:
+   when a need exceeds its cap the caller calls again with larger
+   buffers. Returns 0, or -1 when the walk state could not be
+   allocated. */
+int demux_walk(const uint8_t* data, const long long* offsets, int nrows,
+               const long long* cap, long long* need, uint8_t* mkv,
+               int32_t* i32, long long* ticks, uint8_t* bytes)
+{
+    Walk w;
+    memset(&w, 0, sizeof(w));
+    w.dict_list = calloc(65536, sizeof(int));
+    w.dict_gen = calloc(65536, sizeof(unsigned));
+    long long nc = 0, nxy = 0, nbm = 0, npal = 0, nbmb = 0;
+    long long c0 = cap[0], c1 = cap[1], c2 = cap[2];
+    int32_t* cue = i32;
+    int32_t* poffs = cue + 8 * c0;
+    int32_t* xoffs = poffs + (c0 + 1);
+    int32_t* moffs = xoffs + (c0 + 1);
+    int32_t* xy = moffs + (c0 + 1);
+    int32_t* wh = xy + 2 * c1;
+    int32_t* boffs = wh + 2 * c2;
+    uint8_t* palb = bytes;
+    uint8_t* bmb = bytes + cap[3];
+    if (!w.dict_list || !w.dict_gen) w.oom = 1;
+    poffs[0] = xoffs[0] = moffs[0] = boffs[0] = 0;
+    for (int r = 0; r < nrows && !w.oom; r++) {
+        const uint8_t* p = data + offsets[r];
+        long long n = offsets[r + 1] - offsets[r];
+        mkv[r] = n >= 4 && p[0] == 'M' && p[1] == 'K' && p[2] == 'P'
+                 && p[3] == 'G';
+        if (mkv[r]) continue;
+        walk_payload(&w, p, n, offsets[r]);
+        if (w.oom) break;
+        int rows = w.nout ? w.nout : 1;
+        for (int i = 0; i < rows; i++, nc++) {
+            Slot* sl = w.nout ? &w.slot[w.out[i]] : 0;
+            int forced = 0;
+            for (int k = 0; sl && k < sl->nobj; k++, nxy++) {
+                PcsObj* o = &w.obj[sl->obj0 + k];
+                forced |= o->forced;
+                if (nxy < c1) { xy[nxy] = o->x; xy[c1 + nxy] = o->y; }
+            }
+            for (int k = 0; sl && k < sl->nref; k++, nbm++) {
+                FragList* l = &w.list[w.ref[sl->ref0 + k]];
+                for (int f = l->head; f >= 0; f = w.frag[f].next) {
+                    long long len = w.frag[f].len;
+                    if (nbmb + len <= cap[4])
+                        memcpy(bmb + nbmb, data + w.frag[f].off, len);
+                    nbmb += len;
+                }
+                if (nbm < c2) {
+                    wh[nbm] = l->w; wh[c2 + nbm] = l->h;
+                    boffs[nbm + 1] = (int32_t) nbmb;
+                }
+            }
+            long long plen = sl ? sl->pal_len : 0;
+            if (plen && npal + plen <= cap[3])
+                memcpy(palb + npal, data + sl->pal_off, plen);
+            npal += plen;
+            if (nc >= c0) continue;
+            int32_t v[8] = {r, sl ? i : -1, sl ? sl->comp_num : 0,
+                            sl ? sl->width : 0, sl ? sl->height : 0,
+                            sl ? sl->nobj : 0, forced,
+                            sl ? sl->pal_count : 0};
+            for (int k = 0; k < 8; k++) cue[k * c0 + nc] = v[k];
+            ticks[nc] = sl ? sl->start : 0;
+            ticks[c0 + nc] = sl ? sl->end : 0;
+            poffs[nc + 1] = (int32_t) npal;
+            xoffs[nc + 1] = (int32_t) nxy;
+            moffs[nc + 1] = (int32_t) nbm;
+        }
+    }
+    need[0] = nc; need[1] = nxy; need[2] = nbm;
+    need[3] = npal; need[4] = nbmb;
+    int oom = w.oom;
+    free(w.slot); free(w.out); free(w.obj); free(w.ref); free(w.frag);
+    free(w.list); free(w.dict_list); free(w.dict_gen);
+    return oom ? -1 : 0;
+}
 """
 
 
@@ -269,6 +597,10 @@ def _lib():
                 ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                 ctypes.c_int, ctypes.c_int, ctypes.c_void_p,
                 ctypes.c_void_p, ctypes.c_int]
+            lib.demux_walk.restype = ctypes.c_int
+            lib.demux_walk.argtypes = (
+                [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int]
+                + [ctypes.c_void_p] * 6)
             _LIB = lib
     return _LIB
 
@@ -345,3 +677,72 @@ def scan_ocr(idx: np.ndarray, written: np.ndarray | None,
         segments.append((top, x0, out[k + 3:k + 3 + ncp]))
         k += 3 + ncp
     return work[:w], work[w:2 * w], int(out[0]), int(out[1]), segments
+
+
+# the per-cue int32 columns of demux_walk, in its ``cue`` order
+_CUE_INTS = ("page", "seq", "comp_num", "width", "height", "n_objects",
+             "forced", "palette_count")
+
+
+def demux_walk(data: np.ndarray, offsets: np.ndarray):
+    """The segment walk of every payload ``data[offsets[r]:offsets[r +
+    1]]`` via C, or None when the kernel is unavailable. ``data`` is
+    uint8, ``offsets`` int64 (nrows + 1). Returns a dict of numpy
+    arrays: ``mkv`` (bool per row: a Matroska payload, not walked),
+    then per cue ``page`` (its row), ``seq`` (-1 on a zero-set row's
+    sentinel), ``comp_num``, ``width``, ``height``, ``n_objects``,
+    ``forced``, ``palette_count``, ``start_ticks``, ``end_ticks``; the
+    int32 offsets ``pal_offsets`` into ``pal_values`` (the last palette
+    version), ``xy_offsets`` into ``obj_x``/``obj_y`` (per PCS object)
+    and ``bm_offsets`` into ``obj_w``/``obj_h``/``bm_value_offsets``
+    (per bitmap object; its reassembled RLE is a range of
+    ``bm_values``)."""
+    lib = _lib()
+    if lib is None:
+        return None
+    if data.dtype != np.uint8 or offsets.dtype != np.int64:
+        raise ValueError("data must be uint8 and offsets int64")
+    nrows = len(offsets) - 1
+    data = np.ascontiguousarray(data) if len(data) else np.zeros(1, np.uint8)
+    offsets = np.ascontiguousarray(offsets)
+    total = int(offsets[-1] - offsets[0])
+    # first guesses, sized to leave most batches one call: a batch
+    # past one (many cues a page, a bitmap or palette many cues
+    # reference) gets exact buffers on a second call
+    cues = 16 * nrows + 64
+    caps = np.array([cues, cues, cues, total // 8 + 1024, total + 1024],
+                    np.int64)
+    need = np.zeros(5, np.int64)
+    mkv = np.zeros(max(nrows, 1), np.uint8)
+    while True:
+        c0, c1, c2, c3, c4 = (int(c) for c in caps)
+        i32 = np.empty(11 * c0 + 3 + 2 * c1 + 3 * c2 + 1, np.int32)
+        ticks = np.empty((2, c0), np.int64)
+        buf = np.empty(c3 + c4, np.uint8)
+        if lib.demux_walk(data.ctypes.data, offsets.ctypes.data, nrows,
+                          caps.ctypes.data, need.ctypes.data,
+                          mkv.ctypes.data, i32.ctypes.data,
+                          ticks.ctypes.data, buf.ctypes.data) < 0:
+            return None
+        if (need <= caps).all():
+            break
+        caps = np.maximum(caps, need)
+    n, nxy, nbm, npal, nbmb = (int(c) for c in need)
+    if max(npal, nbmb) >= 2 ** 31:
+        return None     # past int32 offsets: the Python walk decides
+    e0 = 8 * c0
+    e1 = e0 + 3 * (c0 + 1)
+    e2 = e1 + 2 * c1
+    e3 = e2 + 2 * c2
+    cue, offs = i32[:e0].reshape(8, c0), i32[e0:e1].reshape(3, c0 + 1)
+    xy, wh = i32[e1:e2].reshape(2, c1), i32[e2:e3].reshape(2, c2)
+    boffs = i32[e3:]
+    out = {name: cue[k, :n] for k, name in enumerate(_CUE_INTS)}
+    out.update(
+        mkv=mkv[:nrows].view(bool),
+        start_ticks=ticks[0, :n], end_ticks=ticks[1, :n],
+        pal_offsets=offs[0, :n + 1], pal_values=buf[:npal],
+        xy_offsets=offs[1, :n + 1], obj_x=xy[0, :nxy], obj_y=xy[1, :nxy],
+        bm_offsets=offs[2, :n + 1], obj_w=wh[0, :nbm], obj_h=wh[1, :nbm],
+        bm_value_offsets=boffs[:nbm + 1], bm_values=buf[c3:c3 + nbmb])
+    return out

@@ -238,7 +238,8 @@ def q_sample_per_key(sf_dir: str, n: int = 2):
         return (g[rn.to_numpy() < n][["event_id", "user_id"]]
                 .reset_index(drop=True))
 
-    return bucketed_group_agg(ds, ["user_id"], cap,
+    schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64())])
+    return bucketed_group_agg(ds, ["user_id"], cap, schema=schema,
                               est_bytes=input_bytes(
                                   f"{sf_dir}/events.parquet"))
 

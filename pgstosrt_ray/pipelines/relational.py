@@ -209,7 +209,11 @@ def q_min_per_group(sf_dir: str):
             max_price=("o_totalprice", "max"),
             n_orders=("o_totalprice", "count"))
 
-    return bucketed_group_agg(ds, ["o_custkey"], per_bucket,
+    schema = pa.schema([("o_custkey", pa.int64()),
+                        ("min_price", pa.float64()),
+                        ("max_price", pa.float64()),
+                        ("n_orders", pa.int64())])
+    return bucketed_group_agg(ds, ["o_custkey"], per_bucket, schema=schema,
                               est_bytes=_table_bytes(sf_dir, "orders"))
 
 SQL_MIN_PER_GROUP = (
@@ -702,8 +706,10 @@ def q_event_pairs_range(sf_dir: str, groups: int | None = None):
                              "ev_a": ids[ia][keep].astype("int64"),
                              "ev_b": ids[ib][keep].astype("int64")})
 
+    schema = pa.schema([("user_id", pa.int64()), ("ev_a", pa.int64()),
+                        ("ev_b", pa.int64())])
     return bucketed_group_agg(banded, ["user_id", "probe_band"],
-                              bucket_pairs, buckets=groups)
+                              bucket_pairs, buckets=groups, schema=schema)
 
 SQL_EVENT_PAIRS_RANGE = (
     "SELECT a.user_id, a.event_id AS ev_a, b.event_id AS ev_b "
@@ -752,7 +758,12 @@ def q_sessionize(sf_dir: str):
         return out[["user_id", "session_id", "n_events",
                     "start_ts", "end_ts"]]
 
-    return bucketed_group_agg(ds, ["user_id"], sessions,
+    schema = pa.schema([("user_id", pa.int64()),
+                        ("session_id", pa.int64()),
+                        ("n_events", pa.int64()),
+                        ("start_ts", pa.timestamp("us")),
+                        ("end_ts", pa.timestamp("us"))])
+    return bucketed_group_agg(ds, ["user_id"], sessions, schema=schema,
                               est_bytes=_table_bytes(sf_dir, "events"))
 
 SQL_SESSIONIZE = f"""
@@ -867,7 +878,10 @@ def q_top_orders_per_cust(sf_dir: str, n: int = 3):
         g["rn"] = g["rn"].astype("int64")
         return g[g["rn"] <= n].reset_index(drop=True)
 
-    return bucketed_group_agg(ds, ["o_custkey"], topn,
+    schema = pa.schema([("o_custkey", pa.int64()),
+                        ("o_orderkey", pa.int64()),
+                        ("o_totalprice", pa.float64()), ("rn", pa.int64())])
+    return bucketed_group_agg(ds, ["o_custkey"], topn, schema=schema,
                               est_bytes=_table_bytes(sf_dir, "orders"))
 
 SQL_TOP_ORDERS_PER_CUST = (

@@ -374,6 +374,157 @@ def test_single_object_cue_is_two_kernel_calls(monkeypatch, scale):
     assert spy.calls == ["rle_decode_index", "scan_ocr"]
 
 
+# -- the segment walk: demux_batch ----------------------------------------
+
+_OBJ_IDS = st.integers(0, 2)
+_PAL_IDS = st.integers(0, 1)
+_PTS = st.sampled_from([0, 1, 90_000, 180_000, 2 ** 32 - 1])
+
+
+def _seg(draw, seg_type, pts, body):
+    """One segment; one in six bodies is cut short (a short PCS, ODS
+    or PDS body)."""
+    if not draw(st.integers(0, 5)):
+        body = body[:draw(st.integers(0, len(body)))]
+    return F.encode_sup_segment(seg_type, pts, body)
+
+
+@st.composite
+def _display_set_segments(draw):
+    """PCS, [WDS], PDS*, ODS*, [END] of one display set: random
+    composition states (0x10 is invalid), palette updates, first and
+    continuation fragments of a few shared object ids."""
+    pts = draw(_PTS)
+    pcs = F.encode_pcs_payload(
+        draw(st.integers(0, 2000)), draw(st.integers(0, 2000)), 0x10,
+        draw(st.integers(0, 9)), F.STATE_NORMAL, draw(st.booleans()),
+        draw(_PAL_IDS),
+        draw(st.lists(st.tuples(_OBJ_IDS, st.just(0), st.booleans(),
+                                st.integers(0, 999), st.integers(0, 999)),
+                      max_size=3)))
+    state = draw(st.sampled_from([0x00, 0x40, 0x80, 0x80, 0xC0, 0x10]))
+    segs = [_seg(draw, F.SEG_PCS, pts,
+                 pcs[:7] + bytes((state,)) + pcs[8:])]
+    if draw(st.booleans()):
+        segs.append(_seg(draw, F.SEG_WDS, pts, draw(st.binary(max_size=12))))
+    for _ in range(draw(st.integers(0, 2))):
+        segs.append(_seg(draw, F.SEG_PDS, pts, F.encode_pds_payload(
+            draw(_PAL_IDS), draw(st.integers(0, 3)),
+            draw(st.lists(st.tuples(*[st.integers(0, 255)] * 5),
+                          max_size=3)))))
+    for _ in range(draw(st.integers(0, 3))):
+        data = draw(st.binary(max_size=24))
+        if draw(st.booleans()):
+            body = F.encode_ods_payloads(draw(_OBJ_IDS), 0,
+                                         draw(st.integers(1, 40)),
+                                         draw(st.integers(1, 40)), data)[0]
+        else:   # a continuation fragment
+            body = F.pack_be16(draw(_OBJ_IDS)) + bytes((0, 0x40)) + data
+        segs.append(_seg(draw, F.SEG_ODS, pts, body))
+    if draw(st.integers(0, 4)):
+        segs.append(F.encode_sup_segment(F.SEG_END, pts, b""))
+    return segs
+
+
+@st.composite
+def _stray_segment(draw):
+    """A header without the "PG" magic (a 13-byte type-0 segment) or a
+    segment of a type no arm matches."""
+    if draw(st.booleans()):
+        hdr = draw(st.binary(min_size=13, max_size=13))
+        return hdr if hdr[:2] != b"PG" else b"XX" + hdr[2:]
+    return F.encode_sup_segment(draw(st.integers(0, 255)), draw(_PTS),
+                                draw(st.binary(max_size=6)))
+
+
+def _mkv():
+    from pgstosrt_ray import fixtures as FX
+    return FX.mkv_payload([(1000, 2000, FX.text_ds("mk", 0)),
+                           (3000, 4000, FX.clear_ds(0))])
+
+
+@st.composite
+def _payloads(draw):
+    """A SUP stream of random display sets and stray segments, possibly
+    cut anywhere (a body that runs past the payload end), or a
+    Matroska payload."""
+    if not draw(st.integers(0, 9)):
+        return _mkv()
+    segs = [seg for ds in draw(st.lists(_display_set_segments(),
+                                        max_size=5)) for seg in ds]
+    for _ in range(draw(st.integers(0, 2))):
+        segs.insert(draw(st.integers(0, len(segs))), draw(_stray_segment()))
+    stream = b"".join(segs)
+    if not draw(st.integers(0, 3)):
+        stream = stream[:draw(st.integers(0, len(stream)))]
+    return stream
+
+
+def _pages(payloads):
+    n = len(payloads)
+    return pa.table({
+        "url": pa.array([f"https://example.org/{i % 3}" for i in range(n)],
+                        pa.string()),
+        "warc_ts": pa.array(range(n), pa.int64()).cast(pa.timestamp("us")),
+        "html": pa.array(payloads, pa.binary())})
+
+
+def _demux_both(pages, monkeypatch):
+    from pgstosrt_ray.stages.demux import demux_batch
+    got = demux_batch(pages)
+    with monkeypatch.context() as m:
+        m.setattr(_native, "_lib", lambda: None)
+        ref = demux_batch(pages)
+    return got, ref
+
+
+@needs_kernel
+@given(st.lists(_payloads(), min_size=1, max_size=4), st.integers(0, 2))
+@settings(max_examples=400, deadline=None)
+def test_demux_walk_matches_python_walk(payloads, offset):
+    """The kernel's cue table equals the Python walk's, column for
+    column, on streams with junk headers, short and cut bodies,
+    palette updates, epoch starts, continuation fragments across cues,
+    zero-set payloads and Matroska payloads, on a sliced batch too."""
+    pages = _pages([_mkv()] * offset + payloads).slice(offset)
+    with pytest.MonkeyPatch.context() as mp:
+        got, ref = _demux_both(pages, mp)
+    assert got.equals(ref)
+    assert got.num_rows >= len(payloads)
+
+
+@needs_kernel
+def test_demux_walk_outgrows_first_buffers(monkeypatch):
+    """One bitmap and one palette that many cues reference: their bytes
+    outgrow the first guess, so the kernel is called a second time."""
+    from pgstosrt_ray import fixtures as FX
+    spy = _CallSpy(_native._lib())
+    monkeypatch.setattr(_native, "_lib", lambda: spy)
+    big = FX.text_ds("a long line of text", FX.TICK, scale=4)
+    again = [FX.DsSpec(start_ticks=(2 + k) * FX.TICK, emit_palette=False,
+                       wds=False, objects=[FX.ObjSpec(obj_id=0, bitmap=None,
+                                                      x=k, y=k)])
+             for k in range(60)]
+    got, ref = _demux_both(_pages([FX.sup_payload([big] + again)]),
+                           monkeypatch)
+    assert spy.calls == ["demux_walk", "demux_walk"]
+    assert got.equals(ref) and got.num_rows == 61
+    assert len({b[0] for b in got.column("bitmaps").to_pylist()}) == 1
+
+
+@needs_kernel
+def test_demux_tiny_corpus_matches_python_walk(monkeypatch):
+    """The tiny corpus (Matroska, malformed and zero-set payloads among
+    its urls) as one batch and as 7-row slices: the kernel's cue table
+    equals the Python walk's."""
+    from pgstosrt_ray.fixtures import build_tiny
+    pages, _golden = build_tiny()
+    for batch in [pages] + [pages.slice(i, 7)
+                            for i in range(0, pages.num_rows, 7)]:
+        got, ref = _demux_both(batch, monkeypatch)
+        assert got.equals(ref)
+
+
 # -- the no-compiler fallback over whole corpora ---------------------------
 
 def _tiny_urls():

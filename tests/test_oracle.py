@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pgstosrt_ray import _native
 from pgstosrt_ray import fixtures as FX
 from pgstosrt_ray.oracle import extract_url
 from pgstosrt_ray.srt import format_timestamp, serialize_srt
@@ -64,15 +65,25 @@ class TestOracle:
 
 
 class TestDemuxMetaGolden:
-    def test_demux_meta_rows_matches_stage(self):
+    @pytest.mark.parametrize("kernel", [
+        pytest.param(True, marks=pytest.mark.skipif(
+            not _native.available(), reason="no C compiler")),
+        False], ids=["kernel", "fallback"])
+    def test_demux_meta_rows_matches_stage(self, kernel, monkeypatch):
         """golden_cues comes from oracle.demux_meta_rows while the
         driver query runs stages.demux.demux_batch + projection — pin
-        their equivalence per payload (incl. sentinel rows)."""
+        their equivalence per payload (incl. sentinel rows and the
+        Matroska urls), with the native segment walk and without."""
         import pyarrow as pa
         from pgstosrt_ray import fixtures as FX
+        from pgstosrt_ray.format import MKV_MAGIC
         from pgstosrt_ray.oracle import demux_meta_rows
         from pgstosrt_ray.stages.demux import demux_batch
+        if not kernel:
+            monkeypatch.setattr(_native, "_lib", lambda: None)
         urls = FX.tiny_corpus_payloads()
+        assert any(html[:4] == MKV_MAGIC
+                   for rows in urls.values() for _ts, html in rows)
         for url, rows in urls.items():
             golden = demux_meta_rows(url, rows)
             pages = pa.table({

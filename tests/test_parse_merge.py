@@ -235,3 +235,51 @@ class TestMalformedSegments:
         sets = parse_payload(good[:-16] + bad_ods + good[-16:] + trailer)
         # stream survives; the well-formed cue still extracts
         assert any(d.objects for d in sets)
+
+    def test_continuation_ods_extends_completed_cue(self):
+        # a completed display set holds each object's LIVE fragment
+        # list: a later continuation ODS for the same object id (after
+        # another object's first fragment cleared force_first) grows
+        # the earlier cue's bitmap, and reassembly sees both fragments
+        pal = F.encode_pds_payload(0, 0, [(1, 120, 128, 128, 255)])
+        first = F.encode_ods_payloads(1, 0, 8, 4, bytes(range(20)))[0]
+        other = F.encode_ods_payloads(2, 0, 8, 4, bytes(20))[0]
+        cont = F.pack_be16(1) + bytes((0, 0x00)) + bytes(range(20, 40))
+        stream = (
+            F.encode_sup_segment(F.SEG_PCS, FX.TICK, F.encode_pcs_payload(
+                1920, 1080, 0x10, 1, F.STATE_EPOCH_START, False, 0,
+                [(1, 0, False, 10, 20)]))
+            + F.encode_sup_segment(F.SEG_PDS, FX.TICK, pal)
+            + F.encode_sup_segment(F.SEG_ODS, FX.TICK, first)
+            + F.encode_sup_segment(F.SEG_END, FX.TICK, b"")
+            + F.encode_sup_segment(F.SEG_PCS, 2 * FX.TICK,
+                                   F.encode_pcs_payload(
+                                       1920, 1080, 0x10, 2, F.STATE_NORMAL,
+                                       False, 0, [(2, 0, False, 30, 40)]))
+            + F.encode_sup_segment(F.SEG_ODS, 2 * FX.TICK, other)
+            + F.encode_sup_segment(F.SEG_ODS, 2 * FX.TICK, cont)
+            + F.encode_sup_segment(F.SEG_END, 2 * FX.TICK, b""))
+        sets = parse_segment_stream(stream)
+        assert [d.comp_num for d in sets] == [1, 2]
+        assert [[len(f.data) for f in obj]
+                for obj in sets[0].bitmap_objects] == [[20, 20]]
+        assert [[len(f.data) for f in obj]
+                for obj in sets[1].bitmap_objects] == [[20]]
+        reassemble_fragments(sets[0])
+        assert sets[0].bitmap_objects[0][0].data == bytes(range(40))
+
+    def test_bad_pcs_emits_completed_set_twice(self):
+        # a PCS whose body raises right after the open set completed
+        # leaves that set open: the next PCS completes it a second time,
+        # so the walk's output holds the same object twice, and one
+        # end-time close updates both rows
+        sets = parse_segment_stream(
+            FX.sup_payload([FX.text_ds("one", FX.TICK)])[:-13]  # no END
+            + F.encode_sup_segment(F.SEG_PCS, 2 * FX.TICK, F.encode_pcs_payload(
+                1920, 1080, 0x10, 7, F.STATE_NORMAL, False, 0,
+                [])[:10] + bytes([3]))           # claims 3 objects, has none
+            + FX.sup_payload([FX.clear_ds(3 * FX.TICK)]))
+        assert len(sets) == 3
+        assert sets[0] is sets[1]
+        assert [d.end_ticks for d in sets[:2]] == [3 * FX.TICK] * 2
+        assert sets[2].start_ticks == 3 * FX.TICK and not sets[2].objects

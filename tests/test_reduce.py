@@ -924,3 +924,42 @@ def test_pinned_bucketed_queries_typed_like_oracle(ray_session, tmp_path):
             if got != want:
                 bad.append(f"{sf} {name}: {got} != {want}")
     assert not bad, "\n".join(bad)
+
+
+# the bucketed_group_agg queries that pin their output schema to their
+# DuckDB oracle's types
+_PINNED_BUCKETED_QUERIES = ["min_per_group", "event_pairs_range",
+                            "sessionize", "sample_per_key",
+                            "top_orders_per_cust"]
+
+
+def test_pinned_bucketed_queries_typed_on_zero_rows(ray_session, tmp_path):
+    """Every table empty: each query answers a zero-row table with the
+    column names and Arrow types of its sf0.001 answer."""
+    import __ray_entry__
+    sf = _empty_copy(tmp_path)
+    bad = _typed_like_sf0001(_PINNED_BUCKETED_QUERIES, sf)
+    assert not bad, "\n".join(bad)
+    qs = __ray_entry__.queries()
+    for name in _PINNED_BUCKETED_QUERIES:
+        assert _answer(qs[name](sf)).num_rows == 0, name
+
+
+def test_pinned_bucketed_query_types_equal_oracle(ray_session):
+    """At sf0.01 each query returns its DuckDB oracle's exact Arrow
+    types (timestamp units included)."""
+    import __ray_entry__
+    import duckdb
+    sf = os.path.join(os.path.dirname(SF_DIR), "sf0.01")
+    sql, qs, bad = __ray_entry__.oracle_sql(), __ray_entry__.queries(), []
+    con = duckdb.connect()
+    for f in os.listdir(sf):
+        if f.endswith(".parquet"):
+            con.sql(f"CREATE VIEW {f[:-8]} AS SELECT * FROM "
+                    f"'{os.path.join(sf, f)}'")
+    for name in _PINNED_BUCKETED_QUERIES:
+        got = _fields(_answer(qs[name](sf)))
+        want = _fields(con.sql(sql[name]).arrow())
+        if got != want:
+            bad.append(f"{name}: {got} != {want}")
+    assert not bad, "\n".join(bad)
